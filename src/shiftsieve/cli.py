@@ -1,10 +1,11 @@
 """Command-line surface: validated dispatch to the library plus CSV/JSON
 report emission.
 
-Exit codes: 0 success, 1 validation or usage error, 2 a mathematical
-property that must always hold was found violated (e.g. a sieve instance
-with brute-force count above the large-sieve bound).  Output is a pure
-function of the run configuration, seed included, down to the byte.
+Exit codes: 0 success, 1 validation or usage error (a non-finite number
+included) or a numerical failure, 2 a mathematical property that must
+always hold was found violated (e.g. a sieve instance with brute-force
+count above the large-sieve bound).  Output is a pure function of the run
+configuration, seed included, down to the byte.
 """
 
 from __future__ import annotations
@@ -77,9 +78,12 @@ def _write_rows(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"bad numeric list {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"non-finite value in {text!r}")
+    return values
 
 
 def _ints(text: str) -> list[int]:
@@ -327,6 +331,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     elif command == "shifted":
         if args.weight is not None and args.weight not in qexpansion.SUPPORTED_EIGEN_WEIGHTS:
             raise UsageError(f"weight {args.weight} unsupported")
+        if not math.isfinite(args.x):
+            raise UsageError(f"x must be finite, got {args.x}")
         params = {
             "weight": args.weight,
             "function": args.function,
@@ -373,6 +379,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if args.A is not None:
             params["A"] = args.A
         if args.eps is not None:
+            if not math.isfinite(args.eps):
+                raise UsageError(f"eps must be finite, got {args.eps}")
             params["eps"] = args.eps
     return RunConfig(
         command=command,
@@ -398,7 +406,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:  # ToleranceError, OverflowError, ZeroDivisionError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

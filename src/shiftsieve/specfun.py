@@ -2,10 +2,11 @@
 
 Self-contained implementations: Riemann zeta by Euler-Maclaurin with ten
 correction terms, complex log-gamma by a Lanczos approximation (reflection
-below Re = 1/2), K-Bessel of imaginary order by quadrature of the
-absolutely convergent cosh representation, plus the Eisenstein coefficient
-formulas, the canonical bump weight, its Mellin transform, and the
-Laplace-form evaluation of the spectral weight W(n, ell; Y).
+below Re = 1/2), both over arrays too, K-Bessel of imaginary order by
+quadrature of the absolutely convergent cosh representation and, batched
+over orders, of the rotated exp(pi t/2)-scaled one, plus the Eisenstein
+coefficient formulas, the canonical bump weight, its Mellin transform, and
+the Laplace-form evaluation of the spectral weight W(n, ell; Y).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "bessel_k_it",
     "bessel_k_it_grid",
     "bessel_k_scaled",
+    "bessel_k_scaled_grid",
     "bessel_bound_check",
     "BesselBoundCheck",
     "BESSEL_ENVELOPE",
@@ -78,28 +79,44 @@ _BERNOULLI = {
     18: Fraction(43867, 798),
     20: Fraction(-174611, 330),
 }
-_EM_COEFF = [(j, float(_BERNOULLI[2 * j] / factorial(2 * j))) for j in range(1, 11)]
+# B_2j / (2j)! for j = 1..10, the factors (s + 2j - 1)(s + 2j) that carry the
+# rising product from one correction term to the next, and the extra n^{-2(j-1)}
+_EM_COEFF = np.array([float(_BERNOULLI[2 * j] / factorial(2 * j)) for j in range(1, 11)])
+_EM_2J = 2.0 * np.arange(1, 10)[:, None]
+_EM_NPOW = -2.0 * np.arange(10)[:, None]
 
 
-def zeta(s: complex, terms: int | None = None) -> complex:
-    """zeta(s) by Euler-Maclaurin summation with ten correction terms."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-8:
-        raise PoleError(f"zeta pole at s = 1 (got {s})")
-    n = terms if terms is not None else max(30, int(0.8 * abs(s.imag)) + 20)
-    acc = 0.0 + 0.0j
-    for m in range(1, n):
-        acc += m ** (-s)
+def zeta(s, terms: int | None = None):
+    """zeta(s) by Euler-Maclaurin summation with ten correction terms.
+
+    s is a complex number or an array of them; a scalar s gives a complex,
+    an array gives an array of its shape.  Each point sums
+    max(30, int(0.8 |Im s|) + 20) terms directly unless `terms` fixes it.
+    """
+    scalar = np.ndim(s) == 0
+    s = np.asarray(s, dtype=complex)
+    shape = s.shape
+    s = s.ravel()
+    if not np.isfinite(s).all():
+        raise ValueError(f"zeta needs a finite argument, got {s[~np.isfinite(s)][0]}")
+    near_pole = np.abs(s - 1.0) < 1e-8
+    if near_pole.any():
+        raise PoleError(f"zeta pole at s = 1 (got {complex(s[near_pole][0])})")
+    if terms is not None:
+        n = np.full(s.shape, terms)
+    else:
+        n = np.maximum(30, (0.8 * np.abs(s.imag)).astype(int) + 20)
+    m = np.arange(1.0, n.max())[:, None]
+    # m^{-s} split as CPython's complex power splits it: modulus, then phase
+    head = m ** -s.real * np.exp(-1j * np.log(m) * s.imag)
+    head[m >= n] = 0.0
+    acc = head.sum(axis=0)
+    n = n.astype(float)
     acc += n ** (1.0 - s) / (s - 1.0)
     acc += 0.5 * n ** (-s)
-    rising = s  # s (s+1) ... grows two factors per correction term
-    npow = n ** (-s - 1)
-    for j, coeff in _EM_COEFF:
-        acc += coeff * rising * npow
-        if j < 10:
-            rising *= (s + 2 * j - 1) * (s + 2 * j)
-            npow /= n * n
-    return acc
+    rising = np.cumprod(np.concatenate([s[None], (s + _EM_2J - 1.0) * (s + _EM_2J)]), axis=0)
+    acc += _EM_COEFF @ (rising * (n ** (-s - 1) * n ** _EM_NPOW))
+    return complex(acc[0]) if scalar else acc.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +136,30 @@ _LANCZOS = (
 )
 
 
-def clgamma(z: complex) -> complex:
-    """Principal log-gamma; accurate to ~1e-13 relative on the needed strips."""
+def _lanczos_log_gamma(z, log):
+    zz = z - 1.0
+    x = _LANCZOS[0]
+    for i in range(1, len(_LANCZOS)):
+        x += _LANCZOS[i] / (zz + i)
+    t = zz + _LANCZOS_G + 0.5
+    return 0.5 * LN2PI + (zz + 0.5) * log(t) - t + log(x)
+
+
+def clgamma(z):
+    """Principal log-gamma; accurate to ~1e-13 relative on the needed strips.
+
+    z is a complex number or an array of them (evaluated elementwise).
+    """
+    if np.ndim(z):
+        z = np.asarray(z, dtype=complex)
+        reflect = z.real < 0.5
+        out = _lanczos_log_gamma(np.where(reflect, 1.0 - z, z), np.log)
+        if reflect.any():
+            sin_piz = np.sin(np.pi * z[reflect])
+            if np.any(sin_piz == 0):
+                raise PoleError(f"log-gamma pole at z = {z[reflect][sin_piz == 0][0]}")
+            out[reflect] = math.log(math.pi) - np.log(sin_piz) - out[reflect]
+        return out
     z = complex(z)
     if z.real < 0.5:
         # reflection: log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
@@ -128,12 +167,7 @@ def clgamma(z: complex) -> complex:
         if sin_piz == 0:
             raise PoleError(f"log-gamma pole at z = {z}")
         return cmath.log(cmath.pi) - cmath.log(sin_piz) - clgamma(1.0 - z)
-    zz = z - 1.0
-    x = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        x += _LANCZOS[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return 0.5 * LN2PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(x)
+    return _lanczos_log_gamma(z, cmath.log)
 
 
 def cgamma(z: complex) -> complex:
@@ -244,11 +278,17 @@ def bessel_k_it(t: float, w: float, panel_factor: float = 1.0) -> float:
     representation K_{it}(w) = integral_0^inf exp(-w cosh u) cos(tu) du.
 
     Real-valued and even in t; supported for |t| <= BESSEL_ORDER_MAX.
+    Orders |t| > 8 go through `bessel_k_scaled` instead.
     """
     if w <= 0:
         raise ValueError(f"argument w must be positive, got {w}")
     if abs(t) > BESSEL_ORDER_MAX:
         raise ValueError(f"order parameter |t| = {abs(t)} beyond supported {BESSEL_ORDER_MAX}")
+    if abs(t) > 8.0:
+        # the cosh integrand is O(1) while K_{it}(w) ~ exp(-pi t/2), so the
+        # cancellation eats all relative accuracy by t ~ 25; the scaled
+        # representation stays O(1) and loses nothing to the rescaling
+        return math.exp(-0.5 * math.pi * abs(t)) * bessel_k_scaled(t, w)
     nodes, weights = _bessel_panels(abs(t), w, panel_factor)
     integrand = np.exp(-w * np.cosh(nodes)) * np.cos(t * nodes)
     return float(np.dot(weights, integrand))
@@ -268,67 +308,86 @@ def bessel_k_it_grid(ts: np.ndarray, w: float) -> np.ndarray:
 
 
 _GL_NODES8, _GL_WEIGHTS8 = np.polynomial.legendre.leggauss(8)
+_TAIL_CHUNKS = 40
+# Averaging the 40 tail partial sums pairwise 39 times weights partial sum j
+# by binomial(39, j) / 2^39; the weights are exact in floating point.
+_TAIL_AVERAGE = np.array(
+    [math.comb(_TAIL_CHUNKS - 1, j) / 2.0 ** (_TAIL_CHUNKS - 1) for j in range(_TAIL_CHUNKS)]
+)
+_HEAD_PASS_PANELS = 2048  # head panels summed per array pass (x16 nodes)
 
 
-def bessel_k_scaled(t: float, w: float) -> float:
-    """exp(pi t / 2) K_{it}(w) = integral_0^inf cos(t u - w sinh u) du.
+def bessel_k_scaled_grid(ts: np.ndarray, w: float) -> np.ndarray:
+    """exp(pi t / 2) K_{it}(w) = integral_0^inf cos(t u - w sinh u) du over
+    an array of orders.
 
     The rotated representation stays O(1) as t grows, which is what the
     Eisenstein coefficient integral needs: dividing the plain K value by
-    Gamma(1/2+it) would amplify quadrature noise by exp(pi t / 2).  The
-    stationary region (w cosh u = t) is tiled with Gauss-Legendre panels
-    sized by the phase variation; past it the phase is monotone, so the
-    tail is summed over half-period chunks and averaged to convergence.
+    Gamma(1/2+it) would amplify quadrature noise by exp(pi t / 2).  For each
+    order the stationary region (w cosh u = t) is tiled with Gauss-Legendre
+    panels sized by the phase variation; past it the phase is monotone, so
+    the tail is summed over half-period chunks and averaged to convergence.
+    The chunk edges of all orders come from one array Newton iteration, and
+    the head panels of all orders are summed in passes of bounded size.
     """
-    t = abs(float(t))
+    ts = np.asarray(ts, dtype=float)
     w = float(w)
     if w <= 0:
         raise ValueError(f"argument w must be positive, got {w}")
+    t = np.abs(ts).ravel()
 
-    def phase(u: float) -> float:
-        return t * u - w * math.sinh(u)
+    def phase(u):
+        return t * u - w * np.sinh(u)
 
-    slope = max(2.0 * t, 10.0)
-    ratio = (t + slope) / w
-    u_break = math.acosh(ratio) if ratio > 1.0 else 0.0
-    head = 0.0
-    if u_break > 0.0:
-        if t > w:
-            u_star = math.acosh(t / w)
-            variation = abs(phase(u_star)) + abs(phase(u_break) - phase(u_star))
-        else:
-            variation = abs(phase(u_break))
-        n_panels = max(8, int(variation / 4.0) + 1)
-        edges = np.linspace(0.0, u_break, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        us = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        wt = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        head = float(np.dot(wt, np.cos(t * us - w * np.sinh(us))))
+    slope = np.maximum(2.0 * t, 10.0)
+    u_break = np.arccosh(np.maximum((t + slope) / w, 1.0))
+    p_break = phase(u_break)
 
-    # tail: phase strictly decreasing; chunk at successive multiples of pi
-    n_chunks = 40
-    u = u_break
-    p0 = phase(u_break)
-    edges = [u_break]
-    for k in range(1, n_chunks + 1):
-        target = p0 - k * math.pi
-        for _ in range(64):
-            f = phase(u) - target
-            u -= f / (t - w * math.cosh(u))
-            if abs(f) < 1e-12 * max(1.0, abs(target)):
-                break
-        edges.append(u)
-    earr = np.array(edges)
-    mid = 0.5 * (earr[:-1] + earr[1:])
-    half = 0.5 * (earr[1:] - earr[:-1])
-    us = mid[:, None] + half[:, None] * _GL_NODES8[None, :]
-    wts = half[:, None] * _GL_WEIGHTS8[None, :]
-    chunks = (wts * np.cos(t * us - w * np.sinh(us))).sum(axis=1)
-    partial = np.cumsum(chunks)
-    while partial.size > 1:  # repeated averaging of the alternating tail
-        partial = 0.5 * (partial[:-1] + partial[1:])
-    return head + float(partial[0])
+    p_star = phase(np.arccosh(np.maximum(t / w, 1.0)))
+    variation = np.where(t > w, np.abs(p_star) + np.abs(p_break - p_star), np.abs(p_break))
+    n_panels = np.where(u_break > 0.0, np.maximum(8, (variation / 4.0).astype(int) + 1), 0)
+    ends = np.cumsum(n_panels)
+    total = int(ends[-1]) if t.size else 0
+    head = np.zeros_like(t)
+    for first in range(0, total, _HEAD_PASS_PANELS):
+        panel = np.arange(first, min(first + _HEAD_PASS_PANELS, total))
+        order = np.searchsorted(ends, panel, side="right")
+        count = n_panels[order]
+        j = panel - (ends[order] - count)
+        step = u_break[order] / count
+        lo = j * step  # the edges np.linspace(0, u_break, count + 1) gives
+        hi = np.where(j + 1 == count, u_break[order], (j + 1) * step)
+        half = 0.5 * (hi - lo)
+        us = 0.5 * (lo + hi)[:, None] + half[:, None] * _GL_NODES[None, :]
+        vals = np.cos(t[order][:, None] * us - w * np.sinh(us)) @ _GL_WEIGHTS
+        head += np.bincount(order, weights=half * vals, minlength=t.size)
+
+    # tail: phase strictly decreasing; chunk at successive multiples of pi.
+    # Newton starts from the edges with the t u term dropped, which lie just
+    # left of the true ones, so a few steps reach all of them at once.
+    drop = np.pi * np.arange(1, _TAIL_CHUNKS + 1)
+    target = p_break[:, None] - drop
+    tol = 1e-12 * np.maximum(1.0, np.abs(target))
+    tc = t[:, None]
+    u = np.arcsinh(np.sinh(u_break)[:, None] + drop / w)
+    for _ in range(64):
+        f = tc * u - w * np.sinh(u) - target
+        u = u - f / (tc - w * np.cosh(u))
+        if (np.abs(f) < tol).all():
+            break
+    edges = np.concatenate([u_break[:, None], u], axis=1)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    us = mid[:, :, None] + half[:, :, None] * _GL_NODES8
+    wts = half[:, :, None] * _GL_WEIGHTS8
+    chunks = (wts * np.cos(tc[:, :, None] * us - w * np.sinh(us))).sum(axis=2)
+    tail = np.cumsum(chunks, axis=1) @ _TAIL_AVERAGE  # averages the alternating tail
+    return (head + tail).reshape(ts.shape)
+
+
+def bessel_k_scaled(t: float, w: float) -> float:
+    """exp(pi t / 2) K_{it}(w) for one order: `bessel_k_scaled_grid` at t."""
+    return float(bessel_k_scaled_grid(np.array([float(t)]), w)[0])
 
 
 @dataclass(frozen=True)
@@ -403,17 +462,15 @@ def varphi_ell(ell: int, s: complex) -> complex:
     return 2.0 * total / theta_s(s)
 
 
-@lru_cache(maxsize=131072)
-def _eisenstein_kernel(t: float) -> complex:
-    """pi^{it} exp(-pi t/2) / (Gamma(1/2+it) zeta(1+2it)), node-cached.
+def _eisenstein_kernel(ts: np.ndarray) -> np.ndarray:
+    """pi^{it} exp(-pi t/2) / (Gamma(1/2+it) zeta(1+2it)) over an array of t.
 
     The exp(-pi t/2) pairs with the scaled Bessel value so the product
     K_{it}(w)/Gamma(1/2+it) is assembled from O(1) factors.
     """
-    it = 1j * t
-    return cmath.exp(
-        it * math.log(math.pi) - 0.5 * math.pi * t - clgamma(0.5 + it)
-    ) / zeta(1.0 + 2.0 * it)
+    it = 1j * ts
+    log_num = it * math.log(math.pi) - 0.5 * math.pi * ts - clgamma(0.5 + it)
+    return np.exp(log_num) / zeta(1.0 + 2.0 * it)
 
 
 def a_ell_y(
@@ -435,8 +492,8 @@ def a_ell_y(
     at -t is the conjugate of the value at t, hence the integral is twice
     the real part over t >= 0 and the result is real.
     """
-    if y <= 0:
-        raise ValueError("y must be positive")
+    if not math.isfinite(y) or y <= 0:
+        raise ValueError(f"y must be positive and finite, got {y}")
     if ell == 0:
         raise ValueError("ell must be nonzero")
     aell = abs(ell)
@@ -462,9 +519,9 @@ def a_ell_y(
         ts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
         wt = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
 
-        kvals = np.array([bessel_k_scaled(float(t), w) for t in ts])
+        kvals = bessel_k_scaled_grid(ts, w)
         psi = mellin.values_at(-0.5 - 1j * ts)
-        kernel = np.array([_eisenstein_kernel(float(t)) for t in ts])
+        kernel = _eisenstein_kernel(ts)
         dsum = np.exp(1j * np.outer(ts, log_ratios)).sum(axis=1)
         contrib = complex(np.dot(wt, psi * kernel * dsum * kvals))
         total += contrib

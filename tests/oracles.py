@@ -3,13 +3,15 @@
 Everything here deliberately avoids the package's own evaluation paths:
 high-precision decimal series for K0, the half-plane lattice unfolding for
 the Eisenstein coefficients, plain trial division for smooth parts, and
-brute-force tuple enumeration for tau_m.
+brute-force tuple enumeration for tau_m.  The scalar K-Bessel and zeta
+loops at the end are the slow references for the batched library paths.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal, getcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -172,3 +174,84 @@ def divisor_count(n: int) -> int:
         if n % d == 0:
             c += 1 if d * d == n else 2
     return c
+
+
+GLN16, GLW16 = np.polynomial.legendre.leggauss(16)
+
+
+def bessel_k_scaled_scalar(t: float, w: float) -> float:
+    """exp(pi t / 2) K_{it}(w) one order at a time: the scalar quadrature
+    that `specfun.bessel_k_scaled_grid` batches.  Same head panels, and the
+    tail edges by a Python Newton loop per chunk."""
+    t = abs(float(t))
+    w = float(w)
+
+    def phase(u: float) -> float:
+        return t * u - w * math.sinh(u)
+
+    slope = max(2.0 * t, 10.0)
+    ratio = (t + slope) / w
+    u_break = math.acosh(ratio) if ratio > 1.0 else 0.0
+    head = 0.0
+    if u_break > 0.0:
+        if t > w:
+            u_star = math.acosh(t / w)
+            variation = abs(phase(u_star)) + abs(phase(u_break) - phase(u_star))
+        else:
+            variation = abs(phase(u_break))
+        n_panels = max(8, int(variation / 4.0) + 1)
+        edges = np.linspace(0.0, u_break, n_panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        us = (mid[:, None] + half[:, None] * GLN16[None, :]).ravel()
+        wt = (half[:, None] * GLW16[None, :]).ravel()
+        head = float(np.dot(wt, np.cos(t * us - w * np.sinh(us))))
+
+    n_chunks = 40
+    u = u_break
+    p0 = phase(u_break)
+    edges = [u_break]
+    for k in range(1, n_chunks + 1):
+        target = p0 - k * math.pi
+        for _ in range(64):
+            f = phase(u) - target
+            u -= f / (t - w * math.cosh(u))
+            if abs(f) < 1e-12 * max(1.0, abs(target)):
+                break
+        edges.append(u)
+    earr = np.array(edges)
+    mid = 0.5 * (earr[:-1] + earr[1:])
+    half = 0.5 * (earr[1:] - earr[:-1])
+    us = mid[:, None] + half[:, None] * GLN8[None, :]
+    wts = half[:, None] * GLW8[None, :]
+    chunks = (wts * np.cos(t * us - w * np.sinh(us))).sum(axis=1)
+    partial = np.cumsum(chunks)
+    while partial.size > 1:
+        partial = 0.5 * (partial[:-1] + partial[1:])
+    return head + float(partial[0])
+
+
+_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+              Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+              Fraction(43867, 798), Fraction(-174611, 330))
+_EM_COEFF = [(j, float(b / math.factorial(2 * j))) for j, b in enumerate(_BERNOULLI, start=1)]
+
+
+def zeta_scalar(s: complex, terms: int | None = None) -> complex:
+    """zeta(s) by Euler-Maclaurin, one point at a time: the scalar loop that
+    the array `specfun.zeta` replaces, with the same term count."""
+    s = complex(s)
+    n = terms if terms is not None else max(30, int(0.8 * abs(s.imag)) + 20)
+    acc = 0.0 + 0.0j
+    for m in range(1, n):
+        acc += m ** (-s)
+    acc += n ** (1.0 - s) / (s - 1.0)
+    acc += 0.5 * n ** (-s)
+    rising = s
+    npow = n ** (-s - 1)
+    for j, coeff in _EM_COEFF:
+        acc += coeff * rising * npow
+        if j < 10:
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+            npow /= n * n
+    return acc

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from shiftsieve import cli, largesieve
+from shiftsieve import cli, largesieve, specfun
 
 
 def run(tmp_path, name, args):
@@ -181,3 +186,61 @@ class TestDeterminism:
         _, out1 = run(tmp_path, "a.json", args)
         _, out2 = run(tmp_path, "b.json", args)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestBoundary:
+    """Bad input and numerical failure: exit 1 and one line on stderr."""
+
+    def rejected(self, tmp_path, capsys, args):
+        rc, out = run(tmp_path, "rej.csv", args)
+        assert rc == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_infinite_x(self, tmp_path, capsys):
+        self.rejected(tmp_path, capsys, ["shifted", "--function", "tau2", "--x", "inf",
+                                         "--ell", "1", "--epsilon", "0.5"])
+
+    def test_nan_x(self, tmp_path, capsys):
+        self.rejected(tmp_path, capsys, ["shifted", "--function", "tau2", "--x", "nan",
+                                         "--ell", "1", "--epsilon", "0.5"])
+
+    def test_infinite_big_y(self, tmp_path, capsys):
+        self.rejected(tmp_path, capsys, ["specfun", "wweight", "--k", "50", "--Y", "inf",
+                                         "--ell", "1"])
+
+    def test_nonfinite_float_list(self, tmp_path, capsys):
+        self.rejected(tmp_path, capsys, ["specfun", "bessel", "--t", "1,-inf", "--w", "1"])
+
+    def test_nonfinite_eps(self, tmp_path, capsys):
+        self.rejected(tmp_path, capsys, ["specfun", "bessel", "--t", "1", "--w", "1",
+                                         "--eps", "nan"])
+
+    def test_aell_nan_y_within_a_second(self, tmp_path, capsys):
+        start = time.perf_counter()
+        self.rejected(tmp_path, capsys, ["specfun", "aell", "--ell", "1", "--y", "nan"])
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("exc", [specfun.ToleranceError("tail"), OverflowError("big"),
+                                     ArithmeticError("guard")])
+    def test_arithmetic_failure(self, tmp_path, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(specfun, "a_ell_y", fail)
+        self.rejected(tmp_path, capsys, ["specfun", "aell", "--ell", "1", "--y", "0.3"])
+
+
+@pytest.mark.parametrize("module", ["shiftsieve.cli", "shiftsieve"])
+def test_python_dash_m_writes_output(tmp_path, module):
+    out = tmp_path / "delta.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "eigenform", "--weight", "12", "--cutoff", "10",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().splitlines()[2].startswith("2,-24,")

@@ -5,7 +5,13 @@ import pytest
 
 from shiftsieve import specfun as sf
 
-from .oracles import aell_unfold, bessel_modulus_oscillatory, k0_decimal
+from .oracles import (
+    aell_unfold,
+    bessel_k_scaled_scalar,
+    bessel_modulus_oscillatory,
+    k0_decimal,
+    zeta_scalar,
+)
 
 
 class TestZeta:
@@ -101,6 +107,81 @@ class TestBessel:
             sf.bessel_k_it(0.0, 0.0)
         with pytest.raises(ValueError):
             sf.bessel_k_it(51.0, 1.0)
+
+
+class TestBesselLargeOrder:
+    # K_{it}(w) from mpmath 1.3.0 at 30 digits, printed by
+    # python -c "import mpmath; mpmath.mp.dps = 30; print([float(mpmath.besselk(1j * t, w).real)
+    #            for t, w in ((30, 1), (40, 10), (20, 0.1), (50, 0.1))])"
+    MPMATH = (
+        (30.0, 1.0, -9.186127618251677e-22),
+        (40.0, 10.0, 1.1871170083975645e-28),
+        (20.0, 0.1, 1.013243740305281e-15),
+        (50.0, 0.1, 2.091513585765477e-35),
+    )
+
+    def test_against_mpmath(self):
+        for t, w, ref in self.MPMATH:
+            scale = abs(ref) + math.exp(-math.pi * t / 2 - w)
+            assert abs(sf.bessel_k_it(t, w) - ref) <= 1e-12 * scale
+            assert sf.bessel_k_it(-t, w) == sf.bessel_k_it(t, w)
+
+
+class TestBatchedPaths:
+    """The array paths against the scalar loops they replace."""
+
+    def test_grid_matches_scalar_reference(self):
+        for w in (0.05, 0.7, 3.0, 30.0):
+            ts = np.array([0.0, w, w * (1 + 1e-9), w + 1e-3, 1.0, 8.0, 37.5, 150.0, 400.0])
+            grid = sf.bessel_k_scaled_grid(ts, w)
+            assert grid.shape == ts.shape
+            for t, val in zip(ts, grid):
+                assert abs(val - bessel_k_scaled_scalar(t, w)) <= 1e-12
+
+    def test_grid_keeps_shape_and_symmetry(self):
+        ts = np.array([[0.5, -0.5], [12.0, -12.0]])
+        grid = sf.bessel_k_scaled_grid(ts, 1.1)
+        assert grid.shape == (2, 2)
+        assert np.array_equal(grid[:, 0], grid[:, 1])
+
+    def test_single_element_grid_is_scalar(self):
+        for t, w in ((0.0, 1.0), (3.3, 0.2), (120.0, 7.0)):
+            assert sf.bessel_k_scaled_grid(np.array([t]), w)[0] == sf.bessel_k_scaled(t, w)
+
+    def test_grid_domain_error(self):
+        with pytest.raises(ValueError):
+            sf.bessel_k_scaled_grid(np.array([1.0]), 0.0)
+
+    def test_zeta_array_matches_scalar_reference(self):
+        ts = np.concatenate([np.linspace(0.01, 700.0, 157), [0.5, 12.25, 99.9]])
+        ss = 1.0 + 2.0j * ts
+        vals = sf.zeta(ss)
+        assert vals.shape == ss.shape
+        for s, val in zip(ss, vals):
+            ref = zeta_scalar(s)
+            assert abs(val - ref) <= 1e-13 * abs(ref)
+
+    def test_zeta_scalar_in_scalar_out(self):
+        val = sf.zeta(complex(0.8, 13.0))
+        assert isinstance(val, complex)
+        assert val == pytest.approx(zeta_scalar(complex(0.8, 13.0)), rel=1e-13)
+        assert sf.zeta(3, terms=50) == pytest.approx(zeta_scalar(3, terms=50), rel=1e-14)
+
+    def test_zeta_array_pole_guard(self):
+        with pytest.raises(sf.PoleError):
+            sf.zeta(np.array([2.0, 1.0 + 1e-9]))
+
+    def test_clgamma_array_matches_scalar(self):
+        zs = np.array([0.5 + 3.0j, 0.5 + 250.0j, 2.5, 11.0 - 4.0j, -0.3 + 0.2j, -2.5])
+        vals = sf.clgamma(zs)
+        for z, val in zip(zs, vals):
+            ref = sf.clgamma(complex(z))
+            assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    def test_aell_rejects_nonfinite_y_at_once(self, mellin):
+        for y in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sf.a_ell_y(mellin, 1, y)
 
 
 class TestBesselBound:
