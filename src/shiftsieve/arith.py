@@ -6,8 +6,10 @@ here are exact integers except the floating fields of SievingParameters.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
 from typing import Iterator
@@ -42,7 +44,11 @@ def prime_table(limit: int) -> np.ndarray:
     """Sorted primes <= limit (int64).  Built once and grown on demand.
 
     If the SHIFTSIEVE_PRIME_CACHE environment variable names a directory,
-    sieved tables are persisted there as .npy files and reloaded.
+    sieved tables are persisted there as .npy files and reloaded.  A cached
+    file is used only if it passes `_valid_table`; otherwise the table is
+    sieved again and the file replaced.  Files are written to a temporary
+    name in the same directory and renamed into place, so a concurrent
+    reader never sees a partial table.
     """
     global _primes, _primes_limit
     limit = int(limit)
@@ -52,25 +58,72 @@ def prime_table(limit: int) -> np.ndarray:
         return _primes[: np.searchsorted(_primes, limit, side="right")]
 
     cache_dir = os.environ.get(_CACHE_ENV)
-    path = None
-    if cache_dir:
-        path = os.path.join(cache_dir, f"primes_{limit}.npy")
-        if os.path.exists(path):
-            _primes = np.load(path)
-            _primes_limit = limit
-            return _primes
-
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    _primes = np.nonzero(sieve)[0].astype(np.int64)
+    path = os.path.join(cache_dir, f"primes_{limit}.npy") if cache_dir else None
+    table = _load_table(path, limit) if path else None
+    if table is None:
+        table = _sieve(0, limit)
+        if path:
+            _save_table(path, table)
+    _primes = table
     _primes_limit = limit
-    if path:
-        os.makedirs(cache_dir, exist_ok=True)
-        np.save(path, _primes)
     return _primes
+
+
+def _sieve(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi] (int64) by the sieve of Eratosthenes on that range."""
+    mask = np.ones(hi - lo + 1, dtype=bool)
+    mask[: max(0, 2 - lo)] = False
+    base = _sieve(0, isqrt(hi)).tolist() if hi >= 4 else []
+    for p in base:
+        # from the first multiple of p in [lo, hi] that is not p itself
+        mask[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return np.nonzero(mask)[0].astype(np.int64) + lo
+
+
+_SPOT_WIDTH = 2048  # width of each window on which a cached table is re-sieved
+
+
+def _valid_table(table: np.ndarray, limit: int) -> bool:
+    """Whether an array loaded from the cache is the table of primes <= limit:
+    1-D int64, strictly increasing, last entry <= limit, and equal to a
+    direct sieve on three windows (the start, the middle and the top of
+    [0, limit]; the top one catches a table that stops short)."""
+    if table.ndim != 1 or table.dtype != np.int64:
+        return False
+    if table.size and (np.any(np.diff(table) <= 0) or table[-1] > limit):
+        return False
+    for lo in (0, limit // 2, max(0, limit - _SPOT_WIDTH + 1)):
+        hi = min(limit, lo + _SPOT_WIDTH - 1)
+        seen = table[np.searchsorted(table, lo) : np.searchsorted(table, hi, side="right")]
+        if not np.array_equal(seen, _sieve(lo, hi)):
+            return False
+    return True
+
+
+def _load_table(path: str, limit: int) -> np.ndarray | None:
+    """The cached table at path if it exists, loads and is valid, else None."""
+    try:
+        table = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if isinstance(table, np.ndarray) and _valid_table(table, limit):
+        return table
+    return None
+
+
+def _save_table(path: str, table: np.ndarray) -> None:
+    """Write table to path through a temporary file and an atomic rename."""
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".primes_", suffix=".npy", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, table)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def is_prime(n: int) -> bool:

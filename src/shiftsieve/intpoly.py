@@ -2,28 +2,38 @@
 
 Series are plain lists of Python ints indexed by exponent.  Products are
 exact integer convolutions; they are *evaluated* by Kronecker substitution
-(pack both operands into one big integer with fixed-width slots, multiply,
-unpack), which turns the convolution into a single big-integer product.
-GMP does the heavy multiplication when gmpy2 is importable; otherwise
-CPython's own big ints are used, with identical results.
+(pack both operands into one big number with fixed-width slots, multiply,
+unpack), which turns the convolution into a single big-number product.
+The slots are decimal digits and the product is a `decimal.Decimal` one in
+an exact context: libmpdec switches to a number-theoretic transform for
+large operands, and packing and unpacking are linear-time string joins and
+slices, so no packed value ever goes through a quadratic int/str conversion.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _mpz = int
+import decimal
+from decimal import Decimal
+
+# Integer arithmetic in this context is exact: any rounding, overflow or
+# invalid operation raises instead of silently losing digits.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
+)
 
 
-def _pack(coeffs: list[int], slot_bytes: int) -> "int":
-    """Evaluate a nonnegative-coefficient polynomial at 2**(8*slot_bytes)."""
-    buf = bytearray(slot_bytes * len(coeffs))
-    b = slot_bytes
-    for i, c in enumerate(coeffs):
-        if c:
-            buf[i * b : i * b + b] = c.to_bytes(b, "little")
-    return _mpz(int.from_bytes(buf, "little"))
+def _pack(coeffs: list[int], digits: int) -> Decimal:
+    """Evaluate the polynomial at 10**digits; coefficients lie in
+    (-10**digits, 10**digits), so each sign part fills its slots exactly."""
+    zero = "0" * digits
+    pos = "".join([str(c).zfill(digits) if c > 0 else zero for c in reversed(coeffs)])
+    if min(coeffs) >= 0:
+        return Decimal(pos)
+    neg = "".join([str(-c).zfill(digits) if c < 0 else zero for c in reversed(coeffs)])
+    return _EXACT.subtract(Decimal(pos), Decimal(neg))
 
 
 def _max_abs_bits(coeffs: list[int]) -> int:
@@ -41,6 +51,7 @@ def mul_trunc(a: list[int], b: list[int], n: int) -> list[int]:
     """
     if n <= 0:
         return []
+    square = a is b
     a = a[:n]
     b = b[:n]
     bits_a = _max_abs_bits(a)
@@ -48,41 +59,25 @@ def mul_trunc(a: list[int], b: list[int], n: int) -> list[int]:
     if bits_a == 0 or bits_b == 0:
         return [0] * n
     slot_bits = bits_a + bits_b + min(len(a), len(b)).bit_length() + 2
-    slot_bytes = (slot_bits + 7) // 8
-    pa = _pack([c if c > 0 else 0 for c in a], slot_bytes)
-    na = _pack([-c if c < 0 else 0 for c in a], slot_bytes)
-    pb = _pack([c if c > 0 else 0 for c in b], slot_bytes)
-    nb = _pack([-c if c < 0 else 0 for c in b], slot_bytes)
-    prod = (pa - na) * (pb - nb)
+    d = slot_bits * 30103 // 100000 + 1  # 10**d > 2**slot_bits: 0.30103 > log10(2)
+    pa = _pack(a, d)
+    prod = _EXACT.multiply(pa, pa if square else _pack(b, d))
 
-    # Bias every slot of the full (untruncated) product by 2**(slot_bits'-1)
-    # so the packed value is slotwise nonnegative; negative tail slots would
-    # otherwise borrow into the range being unpacked.
+    # Bias every slot of the full (untruncated) product by 10**d // 2 so the
+    # packed value is slotwise nonnegative; negative tail slots would
+    # otherwise borrow into the range being unpacked.  |slot sum| stays below
+    # 2**(slot_bits - 2) < 10**d / 4, so a biased slot never carries.
     full = len(a) + len(b) - 1
-    bias = 1 << (8 * slot_bytes - 1)
-    prod = int(prod + bias * _pack([1] * full, slot_bytes))
-    if prod < 0:
+    bias = 10**d // 2
+    prod = _EXACT.add(prod, Decimal(f"{bias:0{d}d}" * full))
+    raw = str(prod)
+    if prod.is_signed() or len(raw) > full * d:
         raise OverflowError("slot width underestimated in series product")
-    nbytes = max(slot_bytes * full + slot_bytes, (prod.bit_length() + 7) // 8)
-    raw = prod.to_bytes(nbytes, "little")
-    sb = slot_bytes
-    out = [
-        int.from_bytes(raw[i * sb : (i + 1) * sb], "little") - bias
-        for i in range(min(n, full))
-    ]
-    out.extend([0] * (n - len(out)))
-    return out
-
-
-def mul_trunc_schoolbook(a: list[int], b: list[int], n: int) -> list[int]:
-    """Direct O(len(a)*len(b)) convolution; reference path for tests."""
-    out = [0] * n
-    for i, ca in enumerate(a[:n]):
-        if not ca:
-            continue
-        for j, cb in enumerate(b[: n - i]):
-            if cb:
-                out[i + j] += ca * cb
+    m = min(n, full)
+    raw = raw.zfill(m * d)[-m * d :]
+    out = [int(raw[i : i + d]) - bias for i in range(0, m * d, d)]
+    out.reverse()
+    out.extend([0] * (n - m))
     return out
 
 

@@ -9,6 +9,7 @@ indices cannot overflow.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from math import gcd, isqrt
@@ -16,6 +17,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .arith import prime_table
 from .intpoly import mul_trunc, square_trunc
 
 __all__ = [
@@ -35,7 +37,7 @@ __all__ = [
 SUPPORTED_EIGEN_WEIGHTS = (12, 16, 18, 20, 22, 26)
 
 # Normalizing constants -2k/B_k of the classical Eisenstein series.
-_EISENSTEIN_CONST = {4: 240, 6: -504}
+_EISENSTEIN_CONST = {4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
 
 LN2 = math.log(2.0)
 
@@ -91,30 +93,20 @@ def _divisor_power_sums(power: int, cutoff: int) -> list[int]:
 
 
 def eisenstein_qexp(weight: int, cutoff: int) -> QExpansion:
-    """Normalized Eisenstein series E_k, constant term 1.
+    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n.
 
-    E4 and E6 come from the divisor-sum formulas; E8, E10 and E14 are built
-    as truncated products of those two (each weight-k space with k in
-    {8, 10, 14} is one-dimensional, so the product with constant term 1 is
-    the Eisenstein series).
+    Every coefficient comes from the divisor-sum formula; for weights 8, 10
+    and 14 this is also E4^2, E4*E6 and E4^2*E6, since those spaces of
+    modular forms are one-dimensional.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    if weight in _EISENSTEIN_CONST:
-        const = _EISENSTEIN_CONST[weight]
-        sig = _divisor_power_sums(weight - 1, cutoff)
-        coeffs = [1] + [const * sig[n] for n in range(1, cutoff + 1)]
-        return QExpansion(weight, tuple(coeffs))
-    if weight == 8:
-        e4 = eisenstein_qexp(4, cutoff)
-        return QExpansion(8, tuple(square_trunc(list(e4.coeffs), cutoff + 1)))
-    if weight == 10:
-        return eisenstein_qexp(4, cutoff).mul(eisenstein_qexp(6, cutoff))
-    if weight == 14:
-        e4 = eisenstein_qexp(4, cutoff)
-        e8 = QExpansion(8, tuple(square_trunc(list(e4.coeffs), cutoff + 1)))
-        return e8.mul(eisenstein_qexp(6, cutoff))
-    raise UnsupportedWeightError(f"Eisenstein weight {weight} not in (4, 6, 8, 10, 14)")
+    if weight not in _EISENSTEIN_CONST:
+        raise UnsupportedWeightError(f"Eisenstein weight {weight} not in (4, 6, 8, 10, 14)")
+    const = _EISENSTEIN_CONST[weight]
+    sig = _divisor_power_sums(weight - 1, cutoff)
+    coeffs = [1] + [const * sig[n] for n in range(1, cutoff + 1)]
+    return QExpansion(weight, tuple(coeffs))
 
 
 def _eta_cubed_sparse(cutoff: int) -> list[int]:
@@ -237,19 +229,27 @@ def _scaled_coefficient(a: int, n: int, weight: int) -> float:
     return -value if a < 0 else value
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_delta(cutoff: int) -> QExpansion:
+    """Delta at the last cutoff asked for, shared by the eigenforms of every
+    weight at that cutoff (QExpansion is immutable)."""
+    return delta_qexp(cutoff)
+
+
 def eigenform(weight: int, cutoff: int) -> EigenForm:
     """The unique normalized eigenform of the given one-dimensional weight.
 
     Delta for weight 12, Delta * E_{k-12} otherwise; the cusp spaces for
     weights 16, 18, 20, 22, 26 are one-dimensional, so the normalized
-    product is automatically the Hecke eigenform.
+    product is automatically the Hecke eigenform.  Delta is built (and
+    cross-checked) once per cutoff, not once per weight.
     """
     if weight not in SUPPORTED_EIGEN_WEIGHTS:
         raise UnsupportedWeightError(
             f"weight {weight} unsupported: cusp space is not one-dimensional "
             f"(supported: {SUPPORTED_EIGEN_WEIGHTS})"
         )
-    delta = delta_qexp(cutoff)
+    delta = _shared_delta(cutoff)
     if weight == 12:
         return EigenForm(12, delta)
     return EigenForm(weight, delta.mul(eisenstein_qexp(weight - 12, cutoff)))
@@ -299,7 +299,7 @@ def hecke_verify(form: EigenForm, cutoff: int | None = None) -> HeckeReport:
                     report.multiplicativity_violations.append((m, n))
 
     pk = form.weight - 1
-    primes = _primes_upto(limit)
+    primes = [int(p) for p in prime_table(limit)]  # Python ints: p**pk is exact
     for p in primes:
         ppow = p * p
         j = 1
@@ -321,17 +321,6 @@ def hecke_verify(form: EigenForm, cutoff: int | None = None) -> HeckeReport:
         if lam > 2.0:
             report.deligne_violations.append(p)
     return report
-
-
-def _primes_upto(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
 
 
 def dump_csv(form: EigenForm, dest: IO[str], limit: int | None = None) -> None:

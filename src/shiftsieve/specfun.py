@@ -295,16 +295,26 @@ def bessel_k_it(t: float, w: float, panel_factor: float = 1.0) -> float:
 
 
 def bessel_k_it_grid(ts: np.ndarray, w: float) -> np.ndarray:
-    """K_{it}(w) over an array of orders, shared quadrature nodes."""
+    """K_{it}(w) over an array of orders.  Orders |t| <= 8 share one set of
+    cosh-representation nodes; larger ones go through `bessel_k_scaled_grid`,
+    as in `bessel_k_it`."""
     ts = np.asarray(ts, dtype=float)
     if w <= 0:
         raise ValueError(f"argument w must be positive, got {w}")
-    t_max = float(np.max(np.abs(ts))) if ts.size else 1.0
+    t_abs = np.abs(ts)
+    t_max = float(np.max(t_abs)) if ts.size else 0.0
     if t_max > BESSEL_ORDER_MAX:
         raise ValueError(f"order parameter {t_max} beyond supported {BESSEL_ORDER_MAX}")
-    nodes, weights = _bessel_panels(t_max, w)
-    damp = weights * np.exp(-w * np.cosh(nodes))
-    return np.cos(np.outer(ts, nodes)) @ damp
+    out = np.empty(ts.shape)
+    large = t_abs > 8.0
+    if large.any():
+        out[large] = np.exp(-0.5 * np.pi * t_abs[large]) * bessel_k_scaled_grid(t_abs[large], w)
+    small = ~large
+    if small.any():
+        nodes, weights = _bessel_panels(float(np.max(t_abs[small])), w)
+        damp = weights * np.exp(-w * np.cosh(nodes))
+        out[small] = np.cos(np.outer(ts[small], nodes)) @ damp
+    return out
 
 
 _GL_NODES8, _GL_WEIGHTS8 = np.polynomial.legendre.leggauss(8)

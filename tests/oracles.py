@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's own evaluation paths:
 high-precision decimal series for K0, the half-plane lattice unfolding for
-the Eisenstein coefficients, plain trial division for smooth parts, and
-brute-force tuple enumeration for tau_m.  The scalar K-Bessel and zeta
-loops at the end are the slow references for the batched library paths.
+the Eisenstein coefficients, plain trial division for smooth parts,
+brute-force tuple enumeration for tau_m, and the schoolbook convolution
+for exact series products.  The scalar K-Bessel and zeta loops at the end
+are the slow references for the batched library paths.
 """
 
 from __future__ import annotations
@@ -166,6 +167,19 @@ def aell_unfold(ell: int, y: float, bump) -> float:
         total += ramanujan_sum(ell, c) * integral
         c += 1
     return total
+
+
+def mul_trunc_schoolbook(a: list[int], b: list[int], n: int) -> list[int]:
+    """Direct O(len(a)*len(b)) convolution truncated to n coefficients: the
+    reference for the packed product `intpoly.mul_trunc`."""
+    out = [0] * n
+    for i, ca in enumerate(a[:n]):
+        if not ca:
+            continue
+        for j, cb in enumerate(b[: n - i]):
+            if cb:
+                out[i + j] += ca * cb
+    return out
 
 
 def divisor_count(n: int) -> int:

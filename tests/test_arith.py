@@ -35,6 +35,59 @@ class TestPrimeTable:
         assert list(ps) == list(again)
 
 
+class TestPrimeCacheFile:
+    """A cached table is checked before use; a bad file is re-sieved and
+    replaced, never trusted."""
+
+    LIMIT = 5000
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SHIFTSIEVE_PRIME_CACHE", str(tmp_path))
+
+        def fresh_table():
+            monkeypatch.setattr(arith, "_primes", np.array([], dtype=np.int64))
+            monkeypatch.setattr(arith, "_primes_limit", 0)
+            return arith.prime_table(self.LIMIT)
+
+        return tmp_path / f"primes_{self.LIMIT}.npy", fresh_table
+
+    @staticmethod
+    def expected(limit):
+        return [n for n in range(2, limit + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+    def check_rebuilt(self, path, fresh_table):
+        assert list(fresh_table()) == self.expected(self.LIMIT)
+        assert list(np.load(path)) == self.expected(self.LIMIT)
+        assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file left
+
+    def test_truncated_file(self, cache):
+        path, fresh_table = cache
+        fresh_table()
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        self.check_rebuilt(path, fresh_table)
+
+    def test_wrong_dtype_file(self, cache):
+        path, fresh_table = cache
+        np.save(path, np.array(self.expected(self.LIMIT), dtype=np.int32))
+        self.check_rebuilt(path, fresh_table)
+
+    def test_wrong_content_files(self, cache):
+        path, fresh_table = cache
+        primes = self.expected(self.LIMIT)
+        bad_tables = (
+            primes[:-5],                   # stops short of the limit
+            primes + [5003],               # runs past the limit
+            primes[:3] + [9] + primes[3:],  # a composite in the table
+            primes[::-1],                  # not increasing
+            [[p] for p in primes],         # not 1-D
+        )
+        for bad in bad_tables:
+            np.save(path, np.array(bad, dtype=np.int64))
+            self.check_rebuilt(path, fresh_table)
+
+
 class TestMultiplicative:
     def test_tau_m_examples(self):
         assert arith.tau_m(1, 5) == 1

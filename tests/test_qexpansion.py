@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from shiftsieve import qexpansion as qe
-from shiftsieve.intpoly import mul_trunc_schoolbook
 
-from .oracles import divisor_count
+from .oracles import divisor_count, mul_trunc_schoolbook
 
 
 def sigma(n, power):
@@ -52,6 +51,17 @@ class TestEisenstein:
     def test_unsupported_weight(self):
         with pytest.raises(qe.UnsupportedWeightError):
             qe.eisenstein_qexp(12, 5)
+
+    def test_divisor_sums_match_products(self):
+        # M_8, M_10 and M_14 are one-dimensional, so E8 = E4^2, E10 = E4 E6
+        # and E14 = E4^2 E6: the products the divisor sums replaced
+        n = 301
+        e4 = list(qe.eisenstein_qexp(4, n - 1).coeffs)
+        e6 = list(qe.eisenstein_qexp(6, n - 1).coeffs)
+        e8 = mul_trunc_schoolbook(e4, e4, n)
+        assert list(qe.eisenstein_qexp(8, n - 1).coeffs) == e8
+        assert list(qe.eisenstein_qexp(10, n - 1).coeffs) == mul_trunc_schoolbook(e4, e6, n)
+        assert list(qe.eisenstein_qexp(14, n - 1).coeffs) == mul_trunc_schoolbook(e8, e6, n)
 
 
 class TestDelta:
@@ -98,6 +108,28 @@ class TestEigenform:
         for k in (14, 24, 28):
             with pytest.raises(qe.UnsupportedWeightError):
                 qe.eigenform(k, 10)
+
+    def test_delta_built_once_per_cutoff(self, monkeypatch):
+        builds = []
+        real = qe.delta_qexp
+
+        def counting(cutoff):
+            builds.append(cutoff)
+            return real(cutoff)
+
+        monkeypatch.setattr(qe, "delta_qexp", counting)
+        qe._shared_delta.cache_clear()
+        forms = [qe.eigenform(k, 321) for k in (12, 16, 18, 20, 22, 26)]
+        assert builds == [321]
+        assert all(f.cutoff == 321 for f in forms)
+        # a second cutoff builds its own Delta, with the right coefficients
+        g = qe.eigenform(16, 57)
+        assert builds == [321, 57]
+        delta = brute_delta_coeffs(57)
+        e4 = list(qe.eisenstein_qexp(4, 57).coeffs)
+        assert list(g.qexp.coeffs) == mul_trunc_schoolbook(delta, e4, 58)
+        assert forms[1].qexp.coeffs[:58] == g.qexp.coeffs
+        qe._shared_delta.cache_clear()
 
     def test_truncate(self):
         f = qe.eigenform(12, 100)

@@ -126,6 +126,14 @@ class TestBesselLargeOrder:
             assert abs(sf.bessel_k_it(t, w) - ref) <= 1e-12 * scale
             assert sf.bessel_k_it(-t, w) == sf.bessel_k_it(t, w)
 
+    def test_grid_against_mpmath(self):
+        # K_{30i}(1) and K_{40i}(1) from mpmath 1.3.0 at 30 digits
+        grid = sf.bessel_k_it_grid(np.array([30.0, 40.0, -30.0, 2.0]), 1.0)
+        for val, ref in zip(grid, (-9.186127618251677e-22, -1.70044128098042e-28)):
+            assert val == pytest.approx(ref, rel=1e-9)
+        assert grid[2] == grid[0]
+        assert grid[3] == pytest.approx(sf.bessel_k_it(2.0, 1.0), rel=1e-12)
+
 
 class TestBatchedPaths:
     """The array paths against the scalar loops they replace."""
