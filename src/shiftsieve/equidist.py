@@ -322,15 +322,15 @@ def corollary3_csv_header() -> list[str]:
     return list(COROLLARY3_CSV_COLUMNS)
 
 
-def corollary3_csv_row(report: Corollary3Report) -> list[str]:
+def corollary3_csv_row(report: Corollary3Report) -> list:
     return [
-        str(report.weight),
-        str(report.cutoff),
-        f"{report.l_sym2:.15g}",
-        f"{report.l_sym2_gap:.15g}",
-        f"{report.m_k:.15g}",
-        f"{report.sqrt_m_k:.15g}",
-        f"{report.y_star:.15g}",
-        f"{report.ems_lhs:.15g}",
-        f"{report.ems_rhs:.15g}",
+        report.weight,
+        report.cutoff,
+        report.l_sym2,
+        report.l_sym2_gap,
+        report.m_k,
+        report.sqrt_m_k,
+        report.y_star,
+        report.ems_lhs,
+        report.ems_rhs,
     ]

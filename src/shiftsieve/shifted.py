@@ -223,17 +223,17 @@ def report_csv_header() -> list[str]:
     return list(REPORT_CSV_COLUMNS)
 
 
-def report_csv_row(report: ShiftedSumReport) -> list[str]:
+def report_csv_row(report: ShiftedSumReport) -> list:
     return [
-        f"{report.x:.15g}",
-        str(report.ell),
-        f"{report.epsilon:.15g}",
-        f"{report.s_total:.15g}",
-        f"{report.s_big:.15g}",
-        f"{report.s_small:.15g}",
-        f"{report.m_of_x:.15g}",
-        f"{report.rhs:.15g}",
-        f"{report.ratio:.15g}",
+        report.x,
+        report.ell,
+        report.epsilon,
+        report.s_total,
+        report.s_big,
+        report.s_small,
+        report.m_of_x,
+        report.rhs,
+        report.ratio,
     ]
 
 

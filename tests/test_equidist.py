@@ -205,4 +205,4 @@ class TestCorollary3:
         rep = eq.corollary3_report(forms_1e5[12], 100_000)
         row = eq.corollary3_csv_row(rep)
         assert len(row) == len(eq.corollary3_csv_header()) == 9
-        assert row[0] == "12"
+        assert row[0] == 12

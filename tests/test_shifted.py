@@ -175,8 +175,8 @@ class TestTheorem2Report:
         rep = sh.theorem2_report(tau2_1e3, tau2_1e3, 1000, 0.5, 1)
         row = sh.report_csv_row(rep)
         assert len(row) == len(sh.report_csv_header()) == 9
-        assert row[0] == "1000"
-        assert float(row[3]) == rep.s_total
+        assert row[0] == 1000.0
+        assert row[3] == rep.s_total
 
     def test_json_roundtrip_fields(self, tau2_1e3):
         import json
