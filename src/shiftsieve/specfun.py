@@ -253,27 +253,33 @@ class MellinTransform:
 # ---------------------------------------------------------------------------
 # K-Bessel of imaginary order.
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL16 = np.polynomial.legendre.leggauss(16)
+_GL8 = np.polynomial.legendre.leggauss(8)
 
 
-def _bessel_panels(t_max: float, w: float, panel_factor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre(edges: np.ndarray, rule=_GL16) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre `rule` on each panel between
+    consecutive entries of the last axis of `edges`; both have the shape
+    (..., panels, points)."""
+    x, wx = rule
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    return mid[..., None] + half[..., None] * x, half[..., None] * wx
+
+
+def _bessel_panels(t_max: float, w: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights tiling [0, U] for the cosh representation."""
     u_max = math.acosh(1.0 + 48.0 / w)
     n_panels = max(
         16,
         int(0.6 * u_max * max(t_max, 1.0)) + 1,
         int(u_max * math.sqrt(max(w, 1.0))) + 1,
-    )
-    n_panels = int(n_panels * panel_factor) + 1
-    edges = np.linspace(0.0, u_max, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+    ) + 1
+    nodes, weights = _gauss_legendre(np.linspace(0.0, u_max, n_panels + 1))
+    return nodes.ravel(), weights.ravel()
 
 
-def bessel_k_it(t: float, w: float, panel_factor: float = 1.0) -> float:
+def bessel_k_it(t: float, w: float) -> float:
     """K_{it}(w) for real order parameter t, via the absolutely convergent
     representation K_{it}(w) = integral_0^inf exp(-w cosh u) cos(tu) du.
 
@@ -289,7 +295,7 @@ def bessel_k_it(t: float, w: float, panel_factor: float = 1.0) -> float:
         # cancellation eats all relative accuracy by t ~ 25; the scaled
         # representation stays O(1) and loses nothing to the rescaling
         return math.exp(-0.5 * math.pi * abs(t)) * bessel_k_scaled(t, w)
-    nodes, weights = _bessel_panels(abs(t), w, panel_factor)
+    nodes, weights = _bessel_panels(abs(t), w)
     integrand = np.exp(-w * np.cosh(nodes)) * np.cos(t * nodes)
     return float(np.dot(weights, integrand))
 
@@ -317,7 +323,6 @@ def bessel_k_it_grid(ts: np.ndarray, w: float) -> np.ndarray:
     return out
 
 
-_GL_NODES8, _GL_WEIGHTS8 = np.polynomial.legendre.leggauss(8)
 _TAIL_CHUNKS = 40
 # Averaging the 40 tail partial sums pairwise 39 times weights partial sum j
 # by binomial(39, j) / 2^39; the weights are exact in floating point.
@@ -367,10 +372,9 @@ def bessel_k_scaled_grid(ts: np.ndarray, w: float) -> np.ndarray:
         step = u_break[order] / count
         lo = j * step  # the edges np.linspace(0, u_break, count + 1) gives
         hi = np.where(j + 1 == count, u_break[order], (j + 1) * step)
-        half = 0.5 * (hi - lo)
-        us = 0.5 * (lo + hi)[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = np.cos(t[order][:, None] * us - w * np.sinh(us)) @ _GL_WEIGHTS
-        head += np.bincount(order, weights=half * vals, minlength=t.size)
+        us = _gauss_legendre(np.stack([lo, hi], axis=-1))[0][:, 0]
+        vals = np.cos(t[order][:, None] * us - w * np.sinh(us)) @ _GL16[1]
+        head += np.bincount(order, weights=0.5 * (hi - lo) * vals, minlength=t.size)
 
     # tail: phase strictly decreasing; chunk at successive multiples of pi.
     # Newton starts from the edges with the t u term dropped, which lie just
@@ -385,11 +389,7 @@ def bessel_k_scaled_grid(ts: np.ndarray, w: float) -> np.ndarray:
         u = u - f / (tc - w * np.cosh(u))
         if (np.abs(f) < tol).all():
             break
-    edges = np.concatenate([u_break[:, None], u], axis=1)
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    us = mid[:, :, None] + half[:, :, None] * _GL_NODES8
-    wts = half[:, :, None] * _GL_WEIGHTS8
+    us, wts = _gauss_legendre(np.concatenate([u_break[:, None], u], axis=1), _GL8)
     chunks = (wts * np.cos(tc[:, :, None] * us - w * np.sinh(us))).sum(axis=2)
     tail = np.cumsum(chunks, axis=1) @ _TAIL_AVERAGE  # averages the alternating tail
     return (head + tail).reshape(ts.shape)
@@ -472,6 +472,9 @@ def varphi_ell(ell: int, s: complex) -> complex:
     return 2.0 * total / theta_s(s)
 
 
+_AELL_T_CAP = 700.0  # a_ell_y gives up past this t
+
+
 def _eisenstein_kernel(ts: np.ndarray) -> np.ndarray:
     """pi^{it} exp(-pi t/2) / (Gamma(1/2+it) zeta(1+2it)) over an array of t.
 
@@ -488,7 +491,6 @@ def a_ell_y(
     ell: int,
     y: float,
     tol: float = 1e-7,
-    t_cap: float = 700.0,
 ) -> complex:
     """Fourier coefficient a_ell(y) of the incomplete Eisenstein series.
 
@@ -519,15 +521,12 @@ def a_ell_y(
     k = 0
     while True:
         lo = k * block
-        if lo > t_cap:
+        if lo > _AELL_T_CAP:
             raise ToleranceError(
-                f"tail tolerance {tol} unattainable below t = {t_cap} for ell={ell}, y={y}"
+                f"tail tolerance {tol} unattainable below t = {_AELL_T_CAP} for ell={ell}, y={y}"
             )
         edges = np.linspace(lo, lo + block, panels_per_block + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        ts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        wt = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+        ts, wt = (a.ravel() for a in _gauss_legendre(edges))
 
         kvals = bessel_k_scaled_grid(ts, w)
         psi = mellin.values_at(-0.5 - 1j * ts)
@@ -655,10 +654,7 @@ def w_weight_contour(
         if lo > t_max:
             raise ToleranceError("contour tail did not fall below tolerance")
         edges = np.linspace(lo, lo + block, panels_per_block + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        ts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        wt = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+        ts, wt = (a.ravel() for a in _gauss_legendre(edges))
         acc = 0.0
         for t, wgt in zip(ts, wt):
             s = complex(sigma, t)
