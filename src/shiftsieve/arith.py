@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "prime_table",
-    "is_prime",
     "factorize",
     "euler_phi",
     "tau",
@@ -124,15 +123,6 @@ def _save_table(path: str, table: np.ndarray) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in prime_table(isqrt(n)):
-        if n % int(p) == 0:
-            return False
-    return True
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

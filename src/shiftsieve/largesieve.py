@@ -29,7 +29,6 @@ __all__ = [
     "h_divisor_subsum",
     "h_lower_bound_ratio",
     "sift_bruteforce",
-    "direct_scan_count",
     "random_admissible_system",
     "system_to_json",
     "system_from_json",
@@ -63,9 +62,6 @@ class OmegaSystem:
     x: float
     z: float
     m_start: int = 1
-
-    def omega_count(self, p: int) -> int:
-        return len(self.omega[p])
 
 
 def crt_residue(a: int, a_ell: int, w: int) -> int:
@@ -161,29 +157,31 @@ def h_value(q: int, sys: OmegaSystem) -> Fraction:
     return value
 
 
-def big_h(Q: float, sys: OmegaSystem) -> Fraction:
-    """H = sum of h(q) over square-free q <= Q with primes in P, exact.
-
-    Depth-first enumeration over the ascending prime list, pruned as soon as
-    the partial product exceeds Q.
-    """
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
-    primes = [p for p in sys.primes if p <= Q]
-    hp = {p: Fraction(len(sys.omega[p]), p - len(sys.omega[p])) for p in primes}
+def _squarefree_h_sum(Q: float, sys: OmegaSystem, primes: list[int]) -> Fraction:
+    """Sum of h(q) over square-free q <= Q built from the ascending `primes`,
+    exact.  Depth-first enumeration, pruned as soon as the partial product
+    exceeds Q."""
+    primes = [p for p in primes if p <= Q]
+    hp = [Fraction(len(sys.omega[p]), p - len(sys.omega[p])) for p in primes]
     total = Fraction(0)
 
     def descend(idx: int, q: int, value: Fraction) -> None:
         nonlocal total
         total += value
         for i in range(idx, len(primes)):
-            p = primes[i]
-            if q * p > Q:
+            if q * primes[i] > Q:
                 break
-            descend(i + 1, q * p, value * hp[p])
+            descend(i + 1, q * primes[i], value * hp[i])
 
     descend(0, 1, Fraction(1))
     return total
+
+
+def big_h(Q: float, sys: OmegaSystem) -> Fraction:
+    """H = sum of h(q) over square-free q <= Q with primes in P, exact."""
+    if Q < 1:
+        raise ValueError("Q must be >= 1")
+    return _squarefree_h_sum(Q, sys, sys.primes)
 
 
 def ls_bound(sys: OmegaSystem, Q: float) -> float:
@@ -198,21 +196,7 @@ def h_divisor_subsum(Q: float, sys: OmegaSystem) -> Fraction:
     Term-by-term positivity makes this a lower bound for H; the quotient
     against H is what the classical lower-bound argument wedges open.
     """
-    primes = [p for p in sys.primes if p <= Q and (sys.a * sys.a_ell) % p == 0]
-    hp = {p: Fraction(len(sys.omega[p]), p - len(sys.omega[p])) for p in primes}
-    total = Fraction(0)
-
-    def descend(idx: int, q: int, value: Fraction) -> None:
-        nonlocal total
-        total += value
-        for i in range(idx, len(primes)):
-            p = primes[i]
-            if q * p > Q:
-                break
-            descend(i + 1, q * p, value * hp[p])
-
-    descend(0, 1, Fraction(1))
-    return total
+    return _squarefree_h_sum(Q, sys, [p for p in sys.primes if (sys.a * sys.a_ell) % p == 0])
 
 
 def h_lower_bound_ratio(Q: float, sys: OmegaSystem) -> float:
@@ -240,36 +224,6 @@ def sift_bruteforce(sys: OmegaSystem) -> int:
             start = (res - sys.m_start) % p
             alive[start::p] = False
     return int(np.count_nonzero(alive))
-
-
-def direct_scan_count(sys: OmegaSystem) -> int:
-    """Independent count over the progression itself.
-
-    Walks n_v = a*a_ell*m + r for m in the window and keeps those whose
-    cofactors b = n_v/a and b_ell = (n_v+w)/a_ell are divisible by no odd
-    prime <= z.  The conditions are applied to the integers exactly as
-    written (a nonpositive b_ell for negative w included, with p | 0 true),
-    which is the congruence content of the residue-class model; the prime 2
-    is ignored to match the sieve's prime set, and this scan never looks at
-    the stored classes.
-    """
-    a, a_ell, w, r = sys.a, sys.a_ell, sys.w, sys.r
-    odd_primes = list(sys.primes)
-    count = 0
-    for m in range(sys.m_start, sys.m_start + sys.n_range):
-        n_v = a * a_ell * m + r
-        b, rem_b = divmod(n_v, a)
-        b_ell, rem_bl = divmod(n_v + w, a_ell)
-        if rem_b or rem_bl:
-            raise AssertionError("progression member not divisible as constructed")
-        ok = True
-        for p in odd_primes:
-            if b % p == 0 or b_ell % p == 0:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
 
 
 def random_admissible_system(

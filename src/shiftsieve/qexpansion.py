@@ -8,13 +8,10 @@ indices cannot overflow.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
 from math import gcd, isqrt
-from typing import IO, Iterable
-
 import numpy as np
 
 from .arith import prime_table
@@ -30,7 +27,6 @@ __all__ = [
     "eigenform",
     "hecke_verify",
     "HeckeReport",
-    "dump_csv",
     "SUPPORTED_EIGEN_WEIGHTS",
 ]
 
@@ -322,17 +318,3 @@ def hecke_verify(form: EigenForm, cutoff: int | None = None) -> HeckeReport:
             report.deligne_violations.append(p)
     return report
 
-
-def dump_csv(form: EigenForm, dest: IO[str], limit: int | None = None) -> None:
-    """Rows n, a_f(n) (decimal string), lambda(n) (15 significant digits)."""
-    limit = form.cutoff if limit is None else min(limit, form.cutoff)
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["n", "a_f", "lambda"])
-    for n in range(1, limit + 1):
-        writer.writerow([n, str(form.a(n)), f"{form.eigenvalue(n):.15g}"])
-
-
-def dump_rows(form: EigenForm, limit: int | None = None) -> Iterable[dict]:
-    limit = form.cutoff if limit is None else min(limit, form.cutoff)
-    for n in range(1, limit + 1):
-        yield {"n": n, "a_f": str(form.a(n)), "lambda": float(f"{form.eigenvalue(n):.15g}")}

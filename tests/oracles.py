@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's own evaluation paths:
 high-precision decimal series for K0, the half-plane lattice unfolding for
 the Eisenstein coefficients, plain trial division for smooth parts,
-brute-force tuple enumeration for tau_m, and the schoolbook convolution
-for exact series products.  The scalar K-Bessel and zeta loops at the end
+brute-force tuple enumeration for tau_m, the schoolbook convolution
+for exact series products, and a walk over the progression itself for the
+sifted count of a residue-class system.  The scalar K-Bessel and zeta loops at the end
 are the slow references for the batched library paths.
 """
 
@@ -167,6 +168,36 @@ def aell_unfold(ell: int, y: float, bump) -> float:
         total += ramanujan_sum(ell, c) * integral
         c += 1
     return total
+
+
+def direct_scan_count(sys) -> int:
+    """Independent count over the progression itself.
+
+    Walks n_v = a*a_ell*m + r for m in the window and keeps those whose
+    cofactors b = n_v/a and b_ell = (n_v+w)/a_ell are divisible by no odd
+    prime <= z.  The conditions are applied to the integers exactly as
+    written (a nonpositive b_ell for negative w included, with p | 0 true),
+    which is the congruence content of the residue-class model; the prime 2
+    is ignored to match the sieve's prime set, and this scan never looks at
+    the stored classes.
+    """
+    a, a_ell, w, r = sys.a, sys.a_ell, sys.w, sys.r
+    odd_primes = list(sys.primes)
+    count = 0
+    for m in range(sys.m_start, sys.m_start + sys.n_range):
+        n_v = a * a_ell * m + r
+        b, rem_b = divmod(n_v, a)
+        b_ell, rem_bl = divmod(n_v + w, a_ell)
+        if rem_b or rem_bl:
+            raise AssertionError("progression member not divisible as constructed")
+        ok = True
+        for p in odd_primes:
+            if b % p == 0 or b_ell % p == 0:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
 
 
 def mul_trunc_schoolbook(a: list[int], b: list[int], n: int) -> list[int]:

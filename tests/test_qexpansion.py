@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction
 
@@ -187,18 +186,6 @@ class TestHeckeVerify:
         bad = qe.QExpansion(12, delta_4k.qexp.coeffs[:100] + (999,))
         report = qe.hecke_verify(qe.EigenForm(12, bad))
         assert not report.ok
-
-
-class TestDump:
-    def test_csv_shape_and_values(self, delta_4k):
-        buf = io.StringIO()
-        qe.dump_csv(delta_4k, buf, limit=10)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "n,a_f,lambda"
-        assert len(lines) == 11
-        row2 = lines[2].split(",")
-        assert row2[0] == "2" and row2[1] == "-24"
-        assert float(row2[2]) == pytest.approx(-0.530330085889911, rel=1e-14)
 
 
 def test_divisor_count_consistency():
