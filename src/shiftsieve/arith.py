@@ -9,10 +9,11 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import stat
 import tempfile
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
-from typing import Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -45,9 +46,8 @@ def prime_table(limit: int) -> np.ndarray:
     If the SHIFTSIEVE_PRIME_CACHE environment variable names a directory,
     sieved tables are persisted there as .npy files and reloaded.  A cached
     file is used only if it passes `_valid_table`; otherwise the table is
-    sieved again and the file replaced.  Files are written to a temporary
-    name in the same directory and renamed into place, so a concurrent
-    reader never sees a partial table.
+    sieved again and the file replaced.  Files are written through
+    `atomic_open`, so a concurrent reader never sees a partial table.
     """
     global _primes, _primes_limit
     limit = int(limit)
@@ -111,13 +111,30 @@ def _load_table(path: str, limit: int) -> np.ndarray | None:
 
 
 def _save_table(path: str, table: np.ndarray) -> None:
-    """Write table to path through a temporary file and an atomic rename."""
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".primes_", suffix=".npy", dir=directory)
+    """Write table to path through `atomic_open`."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with atomic_open(path, "wb") as fh:
+        np.save(fh, table)
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """Open a temporary file next to path for writing and rename it over
+    path once the block ends, so path holds either its old bytes or all the
+    new ones; on an exception the temporary file is removed.  The file ends
+    up with the permissions open(path, "w") would give it."""
+    directory = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", dir=directory)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            np.save(fh, table)
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
+        try:
+            perms = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            perms = 0o666 & ~umask
+        os.chmod(tmp, perms)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -72,7 +72,7 @@ def _write_rows(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
             "rows": [dict(zip(header, row)) for row in rows],
         }
         text = json.dumps(payload, sort_keys=True, default=_fmt) + "\n"
-    with open(cfg.out, "w", newline="") as handle:
+    with arith.atomic_open(cfg.out, "w", newline="") as handle:
         handle.write(text)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -244,3 +245,43 @@ def test_python_dash_m_writes_output(tmp_path, module):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().splitlines()[2].startswith("2,-24,")
+
+
+class TestAtomicOut:
+    ARGS = ["eigenform", "--weight", "12", "--cutoff", "10"]
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        # a file size limit of 100 bytes makes the write fail partway, as a
+        # full disk would; the limit binds only the child process
+        out = tmp_path / "eig.csv"
+        out.write_bytes(b"old contents\n")
+        code = (
+            "import resource, signal, sys\n"
+            "from shiftsieve import cli\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (100, resource.RLIM_INFINITY))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *self.ARGS, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "i/o error" in proc.stderr
+        assert out.read_bytes() == b"old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eig.csv"]
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        with open(plain, "w"):
+            pass
+        rc, out = run(tmp_path, "new.csv", self.ARGS)
+        assert rc == 0
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        # open(path, "w") keeps the mode of a file it overwrites
+        out.chmod(0o640)
+        rc, out = run(tmp_path, "new.csv", self.ARGS)
+        assert rc == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "plain.csv"]
