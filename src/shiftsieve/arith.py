@@ -62,7 +62,9 @@ def prime_table(limit: int) -> np.ndarray:
     if table is None:
         table = _sieve(0, limit)
         if path:
-            _save_table(path, table)
+            os.makedirs(cache_dir, exist_ok=True)
+            with atomic_open(path) as fh:
+                np.save(fh, table)
     _primes = table
     _primes_limit = limit
     return _primes
@@ -110,23 +112,19 @@ def _load_table(path: str, limit: int) -> np.ndarray | None:
     return None
 
 
-def _save_table(path: str, table: np.ndarray) -> None:
-    """Write table to path through `atomic_open`."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with atomic_open(path, "wb") as fh:
-        np.save(fh, table)
-
-
 @contextlib.contextmanager
-def atomic_open(path: str, mode: str = "w", **kwargs) -> Iterator[IO]:
-    """Open a temporary file next to path for writing and rename it over
-    path once the block ends, so path holds either its old bytes or all the
-    new ones; on an exception the temporary file is removed.  The file ends
-    up with the permissions open(path, "w") would give it."""
+def atomic_open(path: str) -> Iterator[IO[bytes]]:
+    """Open a temporary file next to path for binary writing and rename it
+    over path once the block ends, so path holds either its old bytes or all
+    the new ones; on an exception the temporary file is removed.  The file
+    ends up with the permissions open(path, "w") would give it."""
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", dir=directory)
     try:
-        with os.fdopen(fd, mode, **kwargs) as fh:
+        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", dir=directory)
+    except OSError as exc:  # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         try:
             perms = stat.S_IMODE(os.stat(path).st_mode)

@@ -72,8 +72,8 @@ def _write_rows(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
             "rows": [dict(zip(header, row)) for row in rows],
         }
         text = json.dumps(payload, sort_keys=True, default=_fmt) + "\n"
-    with arith.atomic_open(cfg.out, "w", newline="") as handle:
-        handle.write(text)
+    with arith.atomic_open(cfg.out) as handle:
+        handle.write(text.encode())
 
 
 def _floats(text: str) -> list[float]:

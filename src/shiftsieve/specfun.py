@@ -257,9 +257,10 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
 
 
-def _gauss_legendre(edges: np.ndarray, rule=_GL16) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss-Legendre `rule` on each panel between
-    consecutive entries of the last axis of `edges`; both have the shape
+def _gauss_legendre(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a Gauss-Legendre `rule`, the (nodes, weights)
+    pair on [-1, 1] (`_GL16` or `_GL8`), on each panel between consecutive
+    entries of the last axis of `edges`; both have the shape
     (..., panels, points)."""
     x, wx = rule
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
@@ -275,7 +276,7 @@ def _bessel_panels(t_max: float, w: float) -> tuple[np.ndarray, np.ndarray]:
         int(0.6 * u_max * max(t_max, 1.0)) + 1,
         int(u_max * math.sqrt(max(w, 1.0))) + 1,
     ) + 1
-    nodes, weights = _gauss_legendre(np.linspace(0.0, u_max, n_panels + 1))
+    nodes, weights = _gauss_legendre(np.linspace(0.0, u_max, n_panels + 1), _GL16)
     return nodes.ravel(), weights.ravel()
 
 
@@ -372,7 +373,7 @@ def bessel_k_scaled_grid(ts: np.ndarray, w: float) -> np.ndarray:
         step = u_break[order] / count
         lo = j * step  # the edges np.linspace(0, u_break, count + 1) gives
         hi = np.where(j + 1 == count, u_break[order], (j + 1) * step)
-        us = _gauss_legendre(np.stack([lo, hi], axis=-1))[0][:, 0]
+        us = _gauss_legendre(np.stack([lo, hi], axis=-1), _GL16)[0][:, 0]
         vals = np.cos(t[order][:, None] * us - w * np.sinh(us)) @ _GL16[1]
         head += np.bincount(order, weights=0.5 * (hi - lo) * vals, minlength=t.size)
 
@@ -526,7 +527,7 @@ def a_ell_y(
                 f"tail tolerance {tol} unattainable below t = {_AELL_T_CAP} for ell={ell}, y={y}"
             )
         edges = np.linspace(lo, lo + block, panels_per_block + 1)
-        ts, wt = (a.ravel() for a in _gauss_legendre(edges))
+        ts, wt = (a.ravel() for a in _gauss_legendre(edges, _GL16))
 
         kvals = bessel_k_scaled_grid(ts, w)
         psi = mellin.values_at(-0.5 - 1j * ts)
@@ -654,7 +655,7 @@ def w_weight_contour(
         if lo > t_max:
             raise ToleranceError("contour tail did not fall below tolerance")
         edges = np.linspace(lo, lo + block, panels_per_block + 1)
-        ts, wt = (a.ravel() for a in _gauss_legendre(edges))
+        ts, wt = (a.ravel() for a in _gauss_legendre(edges, _GL16))
         acc = 0.0
         for t, wgt in zip(ts, wt):
             s = complex(sigma, t)

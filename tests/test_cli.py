@@ -285,3 +285,9 @@ class TestAtomicOut:
         assert rc == 0
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "plain.csv"]
+
+    def test_missing_directory_names_out_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "eig.csv"
+        rc, _ = run(tmp_path, "missing/eig.csv", self.ARGS)
+        assert rc == 1
+        assert str(out) in capsys.readouterr().err
