@@ -116,24 +116,26 @@ def _load_table(path: str, limit: int) -> np.ndarray | None:
 def atomic_open(path: str) -> Iterator[IO[bytes]]:
     """Open a temporary file next to path for binary writing and rename it
     over path once the block ends, so path holds either its old bytes or all
-    the new ones; on an exception the temporary file is removed.  The file
-    ends up with the permissions open(path, "w") would give it."""
-    directory = os.path.dirname(path) or "."
+    the new ones; on an exception the temporary file is removed.  As with
+    open(path, "w"), a symlink at path is written through, and the file ends
+    up with the permissions open would give it."""
+    target = os.path.realpath(path)
+    directory = os.path.dirname(target)
     try:
-        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", dir=directory)
+        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=directory)
     except OSError as exc:  # name the path asked for, not the temporary one
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
         try:
-            perms = stat.S_IMODE(os.stat(path).st_mode)
+            perms = stat.S_IMODE(os.stat(target).st_mode)
         except FileNotFoundError:
             umask = os.umask(0)
             os.umask(umask)
             perms = 0o666 & ~umask
         os.chmod(tmp, perms)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

@@ -12,6 +12,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from math import gcd, isqrt
+
 import numpy as np
 
 from .arith import prime_table
@@ -317,4 +318,3 @@ def hecke_verify(form: EigenForm, cutoff: int | None = None) -> HeckeReport:
         if lam > 2.0:
             report.deligne_violations.append(p)
     return report
-

@@ -3,10 +3,10 @@
 Everything here deliberately avoids the package's own evaluation paths:
 high-precision decimal series for K0, the half-plane lattice unfolding for
 the Eisenstein coefficients, plain trial division for smooth parts,
-brute-force tuple enumeration for tau_m, the schoolbook convolution
-for exact series products, and a walk over the progression itself for the
-sifted count of a residue-class system.  The scalar K-Bessel and zeta loops at the end
-are the slow references for the batched library paths.
+brute-force tuple enumeration for tau_m, the schoolbook convolution for
+exact series products, and a walk over the progression itself for the
+sifted count of a residue-class system.  The scalar K-Bessel and zeta loops
+at the end are the slow references for the batched library paths.
 """
 
 from __future__ import annotations

@@ -291,3 +291,12 @@ class TestAtomicOut:
         rc, _ = run(tmp_path, "missing/eig.csv", self.ARGS)
         assert rc == 1
         assert str(out) in capsys.readouterr().err
+
+    def test_symlink_written_through(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"old contents\n")
+        (tmp_path / "link.csv").symlink_to(target)
+        rc, out = run(tmp_path, "link.csv", self.ARGS)
+        assert rc == 0
+        assert out.is_symlink()
+        assert target.read_text().startswith("n,a_f,lambda\n")
