@@ -161,6 +161,8 @@ def _squarefree_h_sum(Q: float, sys: OmegaSystem, primes: list[int]) -> Fraction
     """Sum of h(q) over square-free q <= Q built from the ascending `primes`,
     exact.  Depth-first enumeration, pruned as soon as the partial product
     exceeds Q."""
+    if not Q >= 1:  # NaN included: no q <= Q, but q = 1 would be counted
+        raise ValueError(f"Q must be >= 1, got {Q}")
     primes = [p for p in primes if p <= Q]
     hp = [Fraction(len(sys.omega[p]), p - len(sys.omega[p])) for p in primes]
     total = Fraction(0)
@@ -179,8 +181,6 @@ def _squarefree_h_sum(Q: float, sys: OmegaSystem, primes: list[int]) -> Fraction
 
 def big_h(Q: float, sys: OmegaSystem) -> Fraction:
     """H = sum of h(q) over square-free q <= Q with primes in P, exact."""
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
     return _squarefree_h_sum(Q, sys, sys.primes)
 
 

@@ -162,6 +162,13 @@ class TestHLowerBound:
             sys, q = ls.random_admissible_system(rng, n_max=5000)
             assert ls.h_divisor_subsum(q, sys) <= ls.big_h(q, sys)
 
+    @pytest.mark.parametrize("q", [0.5, float("nan")])
+    def test_q_below_one_rejected(self, q):
+        sys = ls.build_omega(6, 5, 7, z=12, x=5000)
+        for h_sum in (ls.big_h, ls.h_divisor_subsum):
+            with pytest.raises(ValueError):
+                h_sum(q, sys)
+
     def test_ratio_reported_positive(self):
         # constant never asserted; just recorded and sane
         sys = ls.build_omega(6, 5, 7, z=12, x=5000)
