@@ -119,8 +119,8 @@ def atomic_open(path: str) -> Iterator[IO[bytes]]:
     the new ones; on an exception the temporary file is removed.  As with
     open(path, "w"), a symlink at path is written through, and the file ends
     up with the permissions open would give it."""
-    target = os.path.realpath(path)
-    directory = os.path.dirname(target)
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    directory = os.path.dirname(target) or "."
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=directory)
     except OSError as exc:  # name the path asked for, not the temporary one
