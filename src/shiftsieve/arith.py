@@ -10,7 +10,6 @@ import contextlib
 import math
 import os
 import stat
-import tempfile
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
 from typing import IO, Iterator
@@ -114,27 +113,41 @@ def _load_table(path: str, limit: int) -> np.ndarray | None:
 
 @contextlib.contextmanager
 def atomic_open(path: str) -> Iterator[IO[bytes]]:
-    """Open a temporary file next to path for binary writing and rename it
-    over path once the block ends, so path holds either its old bytes or all
-    the new ones; on an exception the temporary file is removed.  As with
-    open(path, "w"), a symlink at path is written through, and the file ends
-    up with the permissions open would give it."""
+    """Open path for binary writing, as open(path, "wb") would.
+
+    A new file, or a regular file with one link in a directory that takes new
+    files, is written to a temporary file next to it and renamed over it once
+    the block ends, so path holds either its old bytes or all the new ones; on
+    an exception the temporary file is removed.  Anything else (a device, a
+    FIFO, /dev/stdout, a hard-linked or read-only file) is written in place.
+    A symlink at path is written through, and the file ends up with the
+    permissions open would give it.
+    """
     target = os.path.realpath(path) if os.path.islink(path) else path
     directory = os.path.dirname(target) or "."
     try:
-        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=directory)
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not (
+        stat.S_ISREG(st.st_mode)
+        and st.st_nlink == 1
+        and os.access(target, os.W_OK)
+        and os.access(directory, os.W_OK)
+    ):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    tmp = os.path.join(directory, f".{os.path.basename(target)}.{os.urandom(8).hex()}")
+    try:  # the kernel applies the umask to 0o666, as open does
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:  # name the path asked for, not the temporary one
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
             yield fh
-        try:
-            perms = stat.S_IMODE(os.stat(target).st_mode)
-        except FileNotFoundError:
-            umask = os.umask(0)
-            os.umask(umask)
-            perms = 0o666 & ~umask
-        os.chmod(tmp, perms)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -300,3 +301,46 @@ class TestAtomicOut:
         assert rc == 0
         assert out.is_symlink()
         assert target.read_text().startswith("n,a_f,lambda\n")
+
+    def expected(self, tmp_path):
+        rc, out = run(tmp_path, "expected.csv", self.ARGS)
+        assert rc == 0
+        data = out.read_bytes()
+        out.unlink()
+        return data
+
+    def test_fifo_written_in_place(self, tmp_path):
+        expected = self.expected(tmp_path)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        rc, _ = run(tmp_path, "pipe", self.ARGS)
+        reader.join(timeout=60)
+        assert rc == 0
+        assert received == [expected]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+    def test_dev_stdout_streams(self, tmp_path):
+        expected = self.expected(tmp_path)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "shiftsieve", *self.ARGS, "--out", "/dev/stdout"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+
+    def test_hard_link_kept(self, tmp_path):
+        expected = self.expected(tmp_path)
+        first = tmp_path / "first.csv"
+        first.write_bytes(b"old contents\n")
+        os.link(first, tmp_path / "second.csv")
+        rc, second = run(tmp_path, "second.csv", self.ARGS)
+        assert rc == 0
+        assert first.read_bytes() == second.read_bytes() == expected
+        assert os.path.samefile(first, second)
