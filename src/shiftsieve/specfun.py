@@ -373,9 +373,12 @@ def bessel_k_scaled_grid(ts: np.ndarray, w: float) -> np.ndarray:
         step = u_break[order] / count
         lo = j * step  # the edges np.linspace(0, u_break, count + 1) gives
         hi = np.where(j + 1 == count, u_break[order], (j + 1) * step)
-        us = _gauss_legendre(np.stack([lo, hi], axis=-1), _GL16)[0][:, 0]
+        # the panel's own node map, not _gauss_legendre: its weights would
+        # change the half * (vals @ W) summation order
+        half = 0.5 * (hi - lo)
+        us = 0.5 * (lo + hi)[:, None] + half[:, None] * _GL16[0]
         vals = np.cos(t[order][:, None] * us - w * np.sinh(us)) @ _GL16[1]
-        head += np.bincount(order, weights=0.5 * (hi - lo) * vals, minlength=t.size)
+        head += np.bincount(order, weights=half * vals, minlength=t.size)
 
     # tail: phase strictly decreasing; chunk at successive multiples of pi.
     # Newton starts from the edges with the t u term dropped, which lie just
