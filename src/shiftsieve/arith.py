@@ -12,7 +12,7 @@ import os
 import stat
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "smooth_rough",
     "SmoothRoughFactorization",
     "smooth_part_table",
+    "multiplicative_table",
     "SievingParameters",
     "make_params",
     "PRIME_TABLE_MAX",
@@ -239,25 +240,39 @@ def smooth_rough(n: int, z: float) -> SmoothRoughFactorization:
     return SmoothRoughFactorization(n, z, smooth, rem)
 
 
+def multiplicative_table(limit: int, value: Callable, dtype) -> np.ndarray:
+    """f(0..limit) (entry 0 set to 1) for the multiplicative f with
+    f(p^e) = value(p, e), as a numpy array of the given dtype.  value must
+    give 1 at e = 0 and never 0, since the walk divides by it.
+
+    Every prime p <= sqrt(limit) is walked over its powers: the multiples of
+    p^e trade the factor value(p, e - 1) for value(p, e), which is exact in
+    int64 and object dtype.  What is left of n after those primes is 1 or a
+    single prime q > sqrt(limit); value(q, 1) is applied to all of them in
+    one call with an array of q of the table's dtype.
+    """
+    out = np.ones(limit + 1, dtype=dtype)
+    rest = np.arange(limit + 1, dtype=np.int64)
+    for p in prime_table(isqrt(limit)).tolist():
+        power, e = p, 1
+        while power <= limit:
+            out[power::power] //= value(p, e - 1)
+            out[power::power] *= value(p, e)
+            rest[power::power] //= p
+            power, e = power * p, e + 1
+    big = rest > 1
+    out[big] *= value(rest[big].astype(dtype), 1)
+    return out
+
+
 def smooth_part_table(limit: int, z: float) -> np.ndarray:
     """Vector of z-smooth parts for 0..limit (entry 0 unused, set to 1).
 
-    Accumulates one factor p per prime power p^e <= limit with p <= z; the
-    smooth parts themselves never exceed limit, so int64 is exact.
+    The smooth parts never exceed limit, so int64 is exact.
     """
-    out = np.ones(limit + 1, dtype=np.int64)
-    if z < 2 or limit < 2:
-        return out
     if z >= limit:
-        out[1:] = np.arange(1, limit + 1, dtype=np.int64)
-        return out
-    for p in prime_table(min(int(z), limit)):
-        p = int(p)
-        power = p
-        while power <= limit:
-            out[power::power] *= p
-            power *= p
-    return out
+        return np.maximum(np.arange(limit + 1, dtype=np.int64), 1)
+    return multiplicative_table(limit, lambda p, e: np.where(p <= z, p**e, 1), np.int64)
 
 
 @dataclass(frozen=True)
@@ -286,8 +301,8 @@ class SievingParameters:
 
 def make_params(x: float, epsilon: float, m: int = 2) -> SievingParameters:
     """Derive (s, z, y, Q) from (x, epsilon); m enters only the regime flag."""
-    if x < 16:
-        raise ValueError(f"x must be >= 16, got {x}")
+    if not math.isfinite(x) or x < 16:
+        raise ValueError(f"x must be finite and >= 16, got {x}")
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     log_x = math.log(x)
@@ -304,22 +319,6 @@ def make_params(x: float, epsilon: float, m: int = 2) -> SievingParameters:
 
 
 def smooth_numbers_upto(limit: float, z: float) -> Iterator[int]:
-    """All z-smooth integers <= limit in increasing order (DFS + sort)."""
-    limit_int = int(limit)
-    if limit_int < 1:
-        return iter(())
-    if z >= limit_int:
-        return iter(range(1, limit_int + 1))
-    primes = [int(p) for p in prime_table(min(int(z), limit_int))] if z >= 2 else []
-    found = []
-
-    def extend(value: int, idx: int) -> None:
-        found.append(value)
-        for i in range(idx, len(primes)):
-            nxt = value * primes[i]
-            if nxt > limit_int:
-                break
-            extend(nxt, i)
-
-    extend(1, 0)
-    return iter(sorted(found))
+    """All z-smooth integers <= limit in increasing order."""
+    n = np.arange(max(int(limit), 0) + 1)
+    return iter(np.flatnonzero(smooth_part_table(n.size - 1, z) == n).tolist())

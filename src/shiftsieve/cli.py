@@ -2,10 +2,11 @@
 report emission.
 
 Exit codes: 0 success, 1 validation or usage error (a non-finite number
-included) or a numerical failure, 2 a mathematical property that must
-always hold was found violated (e.g. a sieve instance with brute-force
-count above the large-sieve bound).  Output is a pure function of the run
-configuration, seed included, down to the byte.
+included), a numerical failure or a table too large for memory, 2 a
+mathematical property that must always hold was found violated (e.g. a
+sieve instance with brute-force count above the large-sieve bound).
+Output is a pure function of the run configuration, seed included, down
+to the byte.
 """
 
 from __future__ import annotations
@@ -408,6 +409,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except ArithmeticError as exc:  # ToleranceError, OverflowError, ZeroDivisionError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a table too large for this machine
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -7,7 +7,6 @@ in exact rational arithmetic so the inequality checks carry no rounding.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -30,8 +29,6 @@ __all__ = [
     "h_lower_bound_ratio",
     "sift_bruteforce",
     "random_admissible_system",
-    "system_to_json",
-    "system_from_json",
     "BRUTE_FORCE_MAX",
 ]
 
@@ -250,40 +247,3 @@ def random_admissible_system(
         x = v * a * a_ell * n_target
         q = float(n_target) ** rng.choice([0.25, 0.5])
         return build_omega(a, a_ell, w, z, x, v), max(1.0, q)
-
-
-def system_to_json(sys: OmegaSystem) -> str:
-    payload = {
-        "context": {
-            "a": sys.a,
-            "a_ell": sys.a_ell,
-            "w": sys.w,
-            "v": sys.v,
-            "r": sys.r,
-            "x": sys.x,
-            "z": sys.z,
-            "m_start": sys.m_start,
-        },
-        "N": sys.n_range,
-        "P": list(sys.primes),
-        "omega": {str(p): list(res) for p, res in sys.omega.items()},
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def system_from_json(text: str) -> OmegaSystem:
-    data = json.loads(text)
-    ctx = data["context"]
-    return OmegaSystem(
-        n_range=data["N"],
-        primes=tuple(data["P"]),
-        omega={int(p): tuple(res) for p, res in data["omega"].items()},
-        a=ctx["a"],
-        a_ell=ctx["a_ell"],
-        w=ctx["w"],
-        v=ctx["v"],
-        r=ctx["r"],
-        x=ctx["x"],
-        z=ctx["z"],
-        m_start=ctx["m_start"],
-    )

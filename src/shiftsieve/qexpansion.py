@@ -15,7 +15,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import prime_table
+from .arith import multiplicative_table, prime_table
 from .intpoly import mul_trunc, square_trunc
 
 __all__ = [
@@ -79,30 +79,22 @@ class QExpansion:
         return QExpansion(self.weight + other.weight, tuple(prod))
 
 
-def _divisor_power_sums(power: int, cutoff: int) -> list[int]:
-    """sigma_power(n) for n in 1..cutoff by direct divisor accumulation."""
-    sums = [0] * (cutoff + 1)
-    for d in range(1, cutoff + 1):
-        dp = d**power
-        for m in range(d, cutoff + 1, d):
-            sums[m] += dp
-    return sums
-
-
 def eisenstein_qexp(weight: int, cutoff: int) -> QExpansion:
     """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n.
 
-    Every coefficient comes from the divisor-sum formula; for weights 8, 10
-    and 14 this is also E4^2, E4*E6 and E4^2*E6, since those spaces of
-    modular forms are one-dimensional.
+    Every coefficient comes from the divisor-sum formula, with sigma_{k-1}
+    built from its prime-power values (p^{(k-1)(e+1)} - 1)/(p^{k-1} - 1) in
+    Python ints; for weights 8, 10 and 14 this is also E4^2, E4*E6 and E4^2*E6,
+    since those spaces of modular forms are one-dimensional.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     if weight not in _EISENSTEIN_CONST:
         raise UnsupportedWeightError(f"Eisenstein weight {weight} not in (4, 6, 8, 10, 14)")
     const = _EISENSTEIN_CONST[weight]
-    sig = _divisor_power_sums(weight - 1, cutoff)
-    coeffs = [1] + [const * sig[n] for n in range(1, cutoff + 1)]
+    s = weight - 1
+    sig = multiplicative_table(cutoff, lambda p, e: (p ** (s * (e + 1)) - 1) // (p**s - 1), object)
+    coeffs = [1] + [const * v for v in sig[1:].tolist()]
     return QExpansion(weight, tuple(coeffs))
 
 

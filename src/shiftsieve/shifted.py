@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from math import fsum, gcd
+from math import comb, fsum, gcd
 
 import numpy as np
 
@@ -66,16 +66,13 @@ def eigenform_handle(form: EigenForm, limit: int | None = None) -> CoefficientHa
 
 
 def tau_handle(m: int, limit: int) -> CoefficientHandle:
-    """tau_m table by repeated Dirichlet convolution with the constant 1."""
+    """tau_m table from tau_m(p^e) = C(e+m-1, m-1), built in int64; the cast
+    to float is exact below 2^53."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    t = np.ones(limit + 1)
+    t = arith.multiplicative_table(limit, lambda p, e: comb(e + m - 1, m - 1), np.int64)
+    t = t.astype(float)
     t[0] = 0.0
-    for _ in range(m - 1):
-        out = np.zeros(limit + 1)
-        for d in range(1, limit + 1):
-            out[d::d] += t[1 : limit // d + 1]
-        t = out
     t.setflags(write=False)
     return CoefficientHandle(f"tau{m}", t)
 

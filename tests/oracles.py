@@ -6,7 +6,8 @@ the Eisenstein coefficients, plain trial division for smooth parts,
 brute-force tuple enumeration for tau_m, the schoolbook convolution for
 exact series products, and a walk over the progression itself for the
 sifted count of a residue-class system.  The scalar K-Bessel and zeta loops
-at the end are the slow references for the batched library paths.
+and the four multiplicative-table builders at the end are the slow
+references for the library paths that replaced them.
 """
 
 from __future__ import annotations
@@ -300,3 +301,65 @@ def zeta_scalar(s: complex, terms: int | None = None) -> complex:
             rising *= (s + 2 * j - 1) * (s + 2 * j)
             npow /= n * n
     return acc
+
+
+def primes_upto(n: int) -> list[int]:
+    """Primes <= n by trial division."""
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def tau_table_convolution(m: int, limit: int) -> np.ndarray:
+    """tau_m(0..limit) as floats (entry 0 is zero) by m - 1 Dirichlet
+    convolutions with the constant 1."""
+    t = np.ones(limit + 1)
+    t[0] = 0.0
+    for _ in range(m - 1):
+        out = np.zeros(limit + 1)
+        for d in range(1, limit + 1):
+            out[d::d] += t[1 : limit // d + 1]
+        t = out
+    return t
+
+
+def divisor_power_sums(power: int, cutoff: int) -> list[int]:
+    """sigma_power(n) for n in 1..cutoff by direct divisor accumulation."""
+    sums = [0] * (cutoff + 1)
+    for d in range(1, cutoff + 1):
+        dp = d**power
+        for m in range(d, cutoff + 1, d):
+            sums[m] += dp
+    return sums
+
+
+def smooth_part_walk(limit: int, z: float) -> np.ndarray:
+    """z-smooth parts of 0..limit (entry 0 is 1), one factor p per prime
+    power p^e <= limit with p <= z."""
+    out = np.ones(limit + 1, dtype=np.int64)
+    if z < 2 or limit < 2:
+        return out
+    for p in primes_upto(int(min(z, limit))):
+        power = p
+        while power <= limit:
+            out[power::power] *= p
+            power *= p
+    return out
+
+
+def smooth_numbers_dfs(limit: float, z: float) -> list[int]:
+    """All z-smooth integers <= limit in increasing order (DFS + sort)."""
+    limit_int = int(limit)
+    if limit_int < 1:
+        return []
+    primes = primes_upto(int(min(z, limit_int))) if z >= 2 else []
+    found = []
+
+    def extend(value: int, idx: int) -> None:
+        found.append(value)
+        for i in range(idx, len(primes)):
+            nxt = value * primes[i]
+            if nxt > limit_int:
+                break
+            extend(nxt, i)
+
+    extend(1, 0)
+    return sorted(found)

@@ -1,8 +1,11 @@
-"""Public surface: the package imports, and every module's `__all__` names
-only what the module defines, so a deleted function cannot stay exported."""
+"""Public surface: the package imports, every module's `__all__` names
+only what the module defines, so a deleted function cannot stay exported,
+and every function the benchmark's per-layer tracer wraps still exists."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +29,19 @@ def test_all_resolves(name):
 @pytest.mark.parametrize("name", MODULES)
 def test_star_import(name):
     exec(f"from {name} import *", {})
+
+
+def test_benchmark_traced_names_resolve():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    missing = []
+    for module_name, qualname in spans.TRACED:
+        owner = importlib.import_module(f"shiftsieve.{module_name}")
+        for attr in qualname.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{qualname}")
+    assert not missing, missing

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shiftsieve import arith
+from shiftsieve import arith, qexpansion, shifted
 
-from .oracles import fz_split, tau_m_brute
+from .oracles import (
+    divisor_power_sums,
+    fz_split,
+    primes_upto,
+    smooth_numbers_dfs,
+    smooth_part_walk,
+    tau_m_brute,
+    tau_table_convolution,
+)
 
 
 class TestPrimeTable:
@@ -52,13 +60,9 @@ class TestPrimeCacheFile:
 
         return tmp_path / f"primes_{self.LIMIT}.npy", fresh_table
 
-    @staticmethod
-    def expected(limit):
-        return [n for n in range(2, limit + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
-
     def check_rebuilt(self, path, fresh_table):
-        assert list(fresh_table()) == self.expected(self.LIMIT)
-        assert list(np.load(path)) == self.expected(self.LIMIT)
+        assert list(fresh_table()) == primes_upto(self.LIMIT)
+        assert list(np.load(path)) == primes_upto(self.LIMIT)
         assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file left
 
     def test_truncated_file(self, cache):
@@ -70,12 +74,12 @@ class TestPrimeCacheFile:
 
     def test_wrong_dtype_file(self, cache):
         path, fresh_table = cache
-        np.save(path, np.array(self.expected(self.LIMIT), dtype=np.int32))
+        np.save(path, np.array(primes_upto(self.LIMIT), dtype=np.int32))
         self.check_rebuilt(path, fresh_table)
 
     def test_wrong_content_files(self, cache):
         path, fresh_table = cache
-        primes = self.expected(self.LIMIT)
+        primes = primes_upto(self.LIMIT)
         bad_tables = (
             primes[:-5],                   # stops short of the limit
             primes + [5003],               # runs past the limit
@@ -145,10 +149,10 @@ class TestSmoothRough:
         assert (f.smooth, f.rough) == (1, 12)
 
     def test_smooth_part_table_matches_pointwise(self):
-        for z in (1.5, 2, 3.7, 50, 10**9):
+        for z in (1.5, 2, 3.7, 50, 1999, 10**9, math.inf):
             table = arith.smooth_part_table(2000, z)
-            for n in (1, 2, 3, 12, 97, 1024, 1999, 2000):
-                assert table[n] == arith.smooth_rough(n, z).smooth
+            assert table[0] == 1
+            assert table[1:].tolist() == [fz_split(n, z)[0] for n in range(1, 2001)]
 
     def test_rough_part_prime_count_bound(self):
         # mechanism behind the positivity bound: Omega(rough) < s + 1
@@ -188,6 +192,9 @@ class TestParams:
             arith.make_params(100, 0.0)
         with pytest.raises(ValueError):
             arith.make_params(100, 1.0)
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                arith.make_params(x, 0.5)
 
     def test_z_above_x_in_small_epsilon_regime(self):
         p = arith.make_params(10**6, 0.1)
@@ -199,3 +206,42 @@ class TestParams:
             n for n in range(1, 51) if all(p in (2, 3) for p, _ in arith.factorize(n))
         )
         assert list(arith.smooth_numbers_upto(10, 100)) == list(range(1, 11))
+
+
+TABLE_LIMITS = (1, 2, 3, 4, 48, 49, 50, 1010, 51_506)
+
+
+class TestMultiplicativeTable:
+    """Every table built by multiplicative_table equals, entry for entry and
+    in dtype, the loop it replaced (kept in tests/oracles.py)."""
+
+    @pytest.mark.parametrize(
+        "m, limit",
+        [(m, limit) for m in (1, 2, 3, 4) for limit in TABLE_LIMITS] + [(2, 10**6), (3, 10**6)],
+    )
+    def test_tau_handle(self, m, limit):
+        values = shifted.tau_handle(m, limit).values
+        expected = tau_table_convolution(m, limit)
+        assert values.dtype == expected.dtype and np.array_equal(values, expected)
+
+    @pytest.mark.parametrize("limit", TABLE_LIMITS)
+    @pytest.mark.parametrize("weight", [4, 6, 8, 10, 14])
+    def test_eisenstein_sigma(self, limit, weight):
+        coeffs = qexpansion.eisenstein_qexp(weight, limit).coeffs
+        sigma = divisor_power_sums(weight - 1, limit)
+        const = coeffs[1]  # sigma(1) = 1
+        assert coeffs == (1,) + tuple(const * v for v in sigma[1:])
+        assert all(type(c) is int for c in coeffs)
+
+    @pytest.mark.parametrize("limit", TABLE_LIMITS)
+    def test_smooth_tables(self, limit):
+        for z in (0, 1.5, 2, 3.7, 7, math.sqrt(limit), limit - 1, limit, math.inf):
+            table = arith.smooth_part_table(limit, z)
+            expected = smooth_part_walk(limit, z)
+            assert table.dtype == expected.dtype and np.array_equal(table, expected), z
+            assert list(arith.smooth_numbers_upto(limit + 0.5, z)) == smooth_numbers_dfs(limit, z)
+
+    def test_value_sees_every_prime_power(self):
+        limit = 1000
+        table = arith.multiplicative_table(limit, lambda p, e: p**e, object)
+        assert table.tolist() == [1] + list(range(1, limit + 1))

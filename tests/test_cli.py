@@ -224,7 +224,8 @@ class TestBoundary:
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("exc", [specfun.ToleranceError("tail"), OverflowError("big"),
-                                     ArithmeticError("guard")])
+                                     ArithmeticError("guard"), MemoryError(),
+                                     MemoryError("Unable to allocate 7.28 TiB")])
     def test_arithmetic_failure(self, tmp_path, capsys, monkeypatch, exc):
         def fail(*args, **kwargs):
             raise exc

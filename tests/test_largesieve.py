@@ -175,15 +175,3 @@ class TestHLowerBound:
         ratio = ls.h_lower_bound_ratio(10, sys)
         assert ratio > 0
         print(f"\nH / [(phi(aa_ell)/aa_ell)(log z)^2] = {ratio:.4f} (reported)")
-
-
-class TestJson:
-    def test_roundtrip(self):
-        rng = random.Random(3)
-        sys, _ = ls.random_admissible_system(rng, n_max=500)
-        again = ls.system_from_json(ls.system_to_json(sys))
-        assert again == sys
-
-    def test_stable_text(self):
-        sys = ls.build_omega(2, 3, 1, z=10, x=10000, v=1)
-        assert ls.system_to_json(sys) == ls.system_to_json(sys)
