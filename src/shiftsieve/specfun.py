@@ -4,14 +4,19 @@ Self-contained implementations: Riemann zeta by Euler-Maclaurin with ten
 correction terms, complex log-gamma by a Lanczos approximation (reflection
 below Re = 1/2), both over arrays too, K-Bessel of imaginary order by
 quadrature of the absolutely convergent cosh representation and, batched
-over orders, of the rotated exp(pi t/2)-scaled one, plus the Eisenstein
-coefficient formulas, the canonical bump weight, its Mellin transform, and
-the Laplace-form evaluation of the spectral weight W(n, ell; Y).
+over orders, of the rotated exp(pi t/2)-scaled one, which hands orders far
+enough past the turning point t = w to the Debye expansion (DLMF 10.41.4),
+plus the Eisenstein coefficient formulas, the canonical bump weight, its
+Mellin transform, and the Laplace-form evaluation of the spectral weight
+W(n, ell; Y).  The Eisenstein coefficient integral evaluates its Mellin and
+zeta factors block by block as shifted exponential sums, a few small matrix
+products per block.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,13 +28,11 @@ __all__ = [
     "PoleError",
     "ToleranceError",
     "zeta",
-    "cgamma",
     "clgamma",
     "BumpFunction",
     "DEFAULT_BUMP",
     "MellinTransform",
     "bessel_k_it",
-    "bessel_k_it_grid",
     "bessel_k_scaled",
     "bessel_k_scaled_grid",
     "bessel_bound_check",
@@ -42,7 +45,6 @@ __all__ = [
     "support_prefactor",
     "w_weight",
     "w_main_term",
-    "w_weight_contour",
     "gamma_ratio_check",
     "GammaRatioCheck",
     "BESSEL_ORDER_MAX",
@@ -102,21 +104,28 @@ def zeta(s, terms: int | None = None):
     near_pole = np.abs(s - 1.0) < 1e-8
     if near_pole.any():
         raise PoleError(f"zeta pole at s = 1 (got {complex(s[near_pole][0])})")
-    if terms is not None:
-        n = np.full(s.shape, terms)
-    else:
-        n = np.maximum(30, (0.8 * np.abs(s.imag)).astype(int) + 20)
+    n = np.full(s.shape, terms) if terms is not None else _zeta_terms(s.imag)
     m = np.arange(1.0, n.max())[:, None]
     # m^{-s} split as CPython's complex power splits it: modulus, then phase
     head = m ** -s.real * np.exp(-1j * np.log(m) * s.imag)
     head[m >= n] = 0.0
-    acc = head.sum(axis=0)
-    n = n.astype(float)
+    acc = _add_euler_maclaurin(head.sum(axis=0), s, n.astype(float))
+    return complex(acc[0]) if scalar else acc.reshape(shape)
+
+
+def _zeta_terms(imag):
+    """The number n of terms `zeta` sums directly at Im s = imag."""
+    return np.maximum(30, (0.8 * np.abs(imag)).astype(int) + 20)
+
+
+def _add_euler_maclaurin(acc: np.ndarray, s: np.ndarray, n) -> np.ndarray:
+    """acc plus the Euler-Maclaurin remainder of sum_{m < n} m^{-s}, that is
+    zeta(s) when acc holds that partial sum; n is a float or an array like s."""
     acc += n ** (1.0 - s) / (s - 1.0)
     acc += 0.5 * n ** (-s)
     rising = np.cumprod(np.concatenate([s[None], (s + _EM_2J - 1.0) * (s + _EM_2J)]), axis=0)
     acc += _EM_COEFF @ (rising * (n ** (-s - 1) * n ** _EM_NPOW))
-    return complex(acc[0]) if scalar else acc.reshape(shape)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +177,6 @@ def clgamma(z):
             raise PoleError(f"log-gamma pole at z = {z}")
         return cmath.log(cmath.pi) - cmath.log(sin_piz) - clgamma(1.0 - z)
     return _lanczos_log_gamma(z, cmath.log)
-
-
-def cgamma(z: complex) -> complex:
-    return cmath.exp(clgamma(z))
 
 
 def gamma_half_plus_it_abs(t: float) -> float:
@@ -241,14 +246,6 @@ class MellinTransform:
         logt, gv, h = self._grid()
         return h * (np.exp(np.outer(np.asarray(ss) - 1.0, logt)) @ gv)
 
-    def measured_decay_constant(self, A: int, sigmas, ts) -> float:
-        """max |G(sigma + it)| (1 + |t|)^A over the calibration grid."""
-        worst = 0.0
-        for sig in sigmas:
-            for t in ts:
-                worst = max(worst, abs(self(complex(sig, t))) * (1.0 + abs(t)) ** A)
-        return worst
-
 
 # ---------------------------------------------------------------------------
 # K-Bessel of imaginary order.
@@ -301,29 +298,6 @@ def bessel_k_it(t: float, w: float) -> float:
     return float(np.dot(weights, integrand))
 
 
-def bessel_k_it_grid(ts: np.ndarray, w: float) -> np.ndarray:
-    """K_{it}(w) over an array of orders.  Orders |t| <= 8 share one set of
-    cosh-representation nodes; larger ones go through `bessel_k_scaled_grid`,
-    as in `bessel_k_it`."""
-    ts = np.asarray(ts, dtype=float)
-    if w <= 0:
-        raise ValueError(f"argument w must be positive, got {w}")
-    t_abs = np.abs(ts)
-    t_max = float(np.max(t_abs)) if ts.size else 0.0
-    if t_max > BESSEL_ORDER_MAX:
-        raise ValueError(f"order parameter {t_max} beyond supported {BESSEL_ORDER_MAX}")
-    out = np.empty(ts.shape)
-    large = t_abs > 8.0
-    if large.any():
-        out[large] = np.exp(-0.5 * np.pi * t_abs[large]) * bessel_k_scaled_grid(t_abs[large], w)
-    small = ~large
-    if small.any():
-        nodes, weights = _bessel_panels(float(np.max(t_abs[small])), w)
-        damp = weights * np.exp(-w * np.cosh(nodes))
-        out[small] = np.cos(np.outer(ts[small], nodes)) @ damp
-    return out
-
-
 _TAIL_CHUNKS = 40
 # Averaging the 40 tail partial sums pairwise 39 times weights partial sum j
 # by binomial(39, j) / 2^39; the weights are exact in floating point.
@@ -339,18 +313,103 @@ def bessel_k_scaled_grid(ts: np.ndarray, w: float) -> np.ndarray:
 
     The rotated representation stays O(1) as t grows, which is what the
     Eisenstein coefficient integral needs: dividing the plain K value by
-    Gamma(1/2+it) would amplify quadrature noise by exp(pi t / 2).  For each
-    order the stationary region (w cosh u = t) is tiled with Gauss-Legendre
-    panels sized by the phase variation; past it the phase is monotone, so
-    the tail is summed over half-period chunks and averaged to convergence.
-    The chunk edges of all orders come from one array Newton iteration, and
-    the head panels of all orders are summed in passes of bounded size.
+    Gamma(1/2+it) would amplify quadrature noise by exp(pi t / 2).  Orders
+    whose Debye expansion has its first omitted term below _DEBYE_TOL take
+    that expansion (`_debye_scaled`); this is every order with
+    sqrt(t^2 - w^2) above a switch that grows from about 12 at w -> 0 to 64
+    at w = 30.  The others take the quadrature (`_quadrature_scaled`).
     """
     ts = np.asarray(ts, dtype=float)
     w = float(w)
     if w <= 0:
         raise ValueError(f"argument w must be positive, got {w}")
     t = np.abs(ts).ravel()
+    out = np.empty_like(t)
+    quadrature = np.ones(t.size, dtype=bool)
+    # the expansion is tried only where sqrt(t^2 - w^2) > 1, which keeps
+    # p = t / sqrt(t^2 - w^2) and its powers finite
+    tried = np.flatnonzero((t - w) * (t + w) > 1.0)
+    if tried.size:
+        value, omitted = _debye_scaled(t[tried], w)
+        debye = tried[omitted < _DEBYE_TOL]
+        out[debye] = value[omitted < _DEBYE_TOL]
+        quadrature[debye] = False
+    if quadrature.any():
+        out[quadrature] = _quadrature_scaled(t[quadrature], w)
+    return out.reshape(ts.shape)
+
+
+_DEBYE_TERMS = 10  # u_0 .. u_9 are summed; u_10 is the first omitted term
+_DEBYE_TOL = 1e-15  # bound on the first omitted term, a tenth of the 1e-14 aimed at
+
+
+@functools.cache
+def _debye_u(k: int) -> tuple[Fraction, ...]:
+    """Coefficients of p^0, p^1, ..., p^{3k} in the Debye polynomial u_k(p),
+    exactly, by the recursion of DLMF 10.41.10:
+
+        u_{k+1}(p) = p^2 (1 - p^2) u_k'(p) / 2 + (1/8) integral_0^p (1 - 5 q^2) u_k(q) dq
+
+    from u_0 = 1."""
+    if k == 0:
+        return (Fraction(1),)
+    prev = _debye_u(k - 1)
+    out = [Fraction(0)] * (len(prev) + 3)
+    for i, c in enumerate(prev):
+        if not c:
+            continue
+        out[i + 1] += i * c / 2 + c / (8 * (i + 1))
+        out[i + 3] -= i * c / 2 + 5 * c / (8 * (i + 3))
+    return tuple(out)
+
+
+@functools.cache
+def _debye_table() -> tuple[np.ndarray, ...]:
+    """u_k(p) = p^k P_k(p^2) for k = 0.._DEBYE_TERMS: the coefficients of
+    each P_k in floating point, lowest first."""
+    return tuple(np.array([float(c) for c in _debye_u(k)[k::2]])
+                 for k in range(_DEBYE_TERMS + 1))
+
+
+def _debye_scaled(t: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(pi t / 2) K_{it}(w) for orders t > w by the Debye expansion, and
+    the size of its first omitted term.
+
+    DLMF 10.41.4 at nu = it and z = w / nu, where 1 + z^2 = 1 - w^2/t^2 > 0.
+    With d = sqrt(t^2 - w^2), p = t / d and theta = d - t log((t + d)/w) + pi/4,
+    K_{it}(w) is real and
+
+        exp(pi t / 2) K_{it}(w) = 2 Re[sqrt(pi / (2 nu)) exp(-i t phi) (d/t)^{-1/2}
+                                       sum_k (-1)^k u_k(p) / nu^k]
+                                = sqrt(2 pi p / t) (R cos theta + I sin theta)
+
+    with phi = (d + t log(w / (t + d))) / t and R + iI = sum_k i^k u_k(p) / t^k
+    over k < _DEBYE_TERMS.
+    """
+    d = np.sqrt((t - w) * (t + w))
+    p = t / d
+    table = _debye_table()
+    p2 = p * p
+    terms = [(p / t) ** k * np.polynomial.polynomial.polyval(p2, c) for k, c in enumerate(table)]
+    kept = _DEBYE_TERMS  # i^k cycles through 1, i, -1, -i
+    real = sum(terms[0:kept:4]) - sum(terms[2:kept:4])
+    imag = sum(terms[1:kept:4]) - sum(terms[3:kept:4])
+    amplitude = np.sqrt(2.0 * np.pi * p / t)
+    theta = d - t * np.log((t + d) / w) + 0.25 * np.pi
+    value = amplitude * (real * np.cos(theta) + imag * np.sin(theta))
+    return value, amplitude * np.abs(terms[kept])
+
+
+def _quadrature_scaled(t: np.ndarray, w: float) -> np.ndarray:
+    """exp(pi t / 2) K_{it}(w) by quadrature, for a 1-D array of orders t >= 0.
+
+    For each order the stationary region (w cosh u = t) is tiled with
+    Gauss-Legendre panels sized by the phase variation; past it the phase is
+    monotone, so the tail is summed over half-period chunks and averaged to
+    convergence.  The chunk edges of all orders come from one array Newton
+    iteration, and the head panels of all orders are summed in passes of
+    bounded size.
+    """
 
     def phase(u):
         return t * u - w * np.sinh(u)
@@ -396,7 +455,7 @@ def bessel_k_scaled_grid(ts: np.ndarray, w: float) -> np.ndarray:
     us, wts = _gauss_legendre(np.concatenate([u_break[:, None], u], axis=1), _GL8)
     chunks = (wts * np.cos(tc[:, :, None] * us - w * np.sinh(us))).sum(axis=2)
     tail = np.cumsum(chunks, axis=1) @ _TAIL_AVERAGE  # averages the alternating tail
-    return (head + tail).reshape(ts.shape)
+    return head + tail
 
 
 def bessel_k_scaled(t: float, w: float) -> float:
@@ -477,17 +536,72 @@ def varphi_ell(ell: int, s: complex) -> complex:
 
 
 _AELL_T_CAP = 700.0  # a_ell_y gives up past this t
+_AELL_BLOCK = 4.0  # t-width of a block of the a_ell_y integral
+_AELL_PANELS = 8  # Gauss-Legendre panels per block
 
 
-def _eisenstein_kernel(ts: np.ndarray) -> np.ndarray:
-    """pi^{it} exp(-pi t/2) / (Gamma(1/2+it) zeta(1+2it)) over an array of t.
+def _eisenstein_kernel(ts: np.ndarray, zeta_1_2it: np.ndarray) -> np.ndarray:
+    """pi^{it} exp(-pi t/2) / (Gamma(1/2+it) zeta(1+2it)) over an array of t,
+    given zeta(1+2it) there.
 
     The exp(-pi t/2) pairs with the scaled Bessel value so the product
     K_{it}(w)/Gamma(1/2+it) is assembled from O(1) factors.
     """
     it = 1j * ts
     log_num = it * math.log(math.pi) - 0.5 * math.pi * ts - clgamma(0.5 + it)
-    return np.exp(log_num) / zeta(1.0 + 2.0 * it)
+    return np.exp(log_num) / zeta_1_2it
+
+
+class _ShiftedSum:
+    """F(t) = sum_j a_j exp(-i t lam_j) at every node of a block of panels.
+
+    Panel p of the block that starts at `base` has the nodes base +
+    starts[p] + offsets[g], so exp(-i t lam_j) splits into exp(-i offsets[g]
+    lam_j), a fixed (nodes x terms) matrix, exp(-i starts[p] lam_j), a fixed
+    (terms x panels) one with the a_j folded in, and exp(-i base lam_j), the
+    one vector that changes from block to block.  A block costs one small
+    matrix product instead of an exponential per node and term.
+    """
+
+    def __init__(self, lam: np.ndarray, amp: np.ndarray, offsets: np.ndarray, starts: np.ndarray):
+        self.lam = lam
+        self.node_phase = np.exp(-1j * np.outer(offsets, lam))
+        self.panel_phase = amp[:, None] * np.exp(-1j * np.outer(lam, starts))
+
+    def block(self, base: float, terms: int | None = None) -> np.ndarray:
+        """F at the nodes of the block, panel after panel, summed over the
+        first `terms` terms (all of them by default)."""
+        n = self.lam.size if terms is None else terms
+        shift = np.exp(-1j * base * self.lam[:n])
+        return (self.node_phase[:, :n] @ (self.panel_phase[:n] * shift[:, None])).T.ravel()
+
+
+def _aell_blocks(mellin: MellinTransform):
+    """The blocks [4k, 4k + 4], k = 0, 1, ..., of the a_ell_y integral up to
+    _AELL_T_CAP: for each, the Gauss-Legendre nodes ts and weights, and
+    Psi(-1/2 - it) and zeta(1 + 2it) at the nodes.
+
+    Both are exponential sums in t, which `_ShiftedSum` evaluates block by
+    block: Psi(-1/2 - it) = h sum_j g_j t_j^{-3/2} exp(-it log t_j) over the
+    midpoint nodes t_j of `mellin`, and the head sum_{m<n} m^{-1}
+    exp(-2it log m) of zeta(1 + 2it) plus its Euler-Maclaurin remainder, with
+    one term count n per block: the one `zeta` takes at the largest node.
+    """
+    width = _AELL_BLOCK / _AELL_PANELS
+    offsets = _gauss_legendre(np.array([0.0, width]), _GL16)[0].ravel()
+    starts = width * np.arange(_AELL_PANELS)
+    logt, gv, h = mellin._grid()
+    psi = _ShiftedSum(logt, h * gv * np.exp(-1.5 * logt), offsets, starts)
+    m = np.arange(1.0, _zeta_terms(2.0 * (_AELL_T_CAP + _AELL_BLOCK)))
+    head = _ShiftedSum(2.0 * np.log(m), 1.0 / m, offsets, starts)
+    lo = 0.0
+    while lo <= _AELL_T_CAP:
+        edges = np.linspace(lo, lo + _AELL_BLOCK, _AELL_PANELS + 1)
+        ts, wt = (a.ravel() for a in _gauss_legendre(edges, _GL16))
+        n = int(_zeta_terms(2.0 * ts[-1]))
+        zeta_1_2it = _add_euler_maclaurin(head.block(lo, n - 1), 1.0 + 2j * ts, float(n))
+        yield ts, wt, psi.block(lo), zeta_1_2it
+        lo += _AELL_BLOCK
 
 
 def a_ell_y(
@@ -501,10 +615,12 @@ def a_ell_y(
     a_ell(y) = sqrt(y/pi) * integral over t of
         pi^{it} Psi(-1/2-it) / (Gamma(1/2+it) zeta(1+2it))
         * sum_{ab=|ell|} (a/b)^{it} * K_{it}(2 pi |ell| y) dt,
-    truncated once consecutive blocks fall below the tolerance (the Mellin
-    transform of the bump decays like exp(-c sqrt|t|), which dictates the
-    range).  K_{it}/Gamma(1/2+it) is evaluated through the scaled Bessel
-    representation, so large orders stay numerically clean.  The integrand
+    summed over t-blocks of width 4 (`_aell_blocks`) and truncated once two
+    consecutive blocks fall below the tolerance (the Mellin transform of the
+    bump decays like exp(-c sqrt|t|), which dictates the range).
+    K_{it}/Gamma(1/2+it) is evaluated through the scaled Bessel values of
+    `bessel_k_scaled_grid`, so large orders stay numerically clean; past
+    the Debye switch they cost a formula, not a quadrature.  The integrand
     at -t is the conjugate of the value at t, hence the integral is twice
     the real part over t >= 0 and the result is real.
     """
@@ -518,23 +634,11 @@ def a_ell_y(
         [math.log(a / (aell // a)) for a in range(1, aell + 1) if aell % a == 0]
     )
 
-    block = 4.0
-    panels_per_block = 8
     total = 0.0 + 0.0j
     quiet = 0
-    k = 0
-    while True:
-        lo = k * block
-        if lo > _AELL_T_CAP:
-            raise ToleranceError(
-                f"tail tolerance {tol} unattainable below t = {_AELL_T_CAP} for ell={ell}, y={y}"
-            )
-        edges = np.linspace(lo, lo + block, panels_per_block + 1)
-        ts, wt = (a.ravel() for a in _gauss_legendre(edges, _GL16))
-
+    for k, (ts, wt, psi, zeta_1_2it) in enumerate(_aell_blocks(mellin)):
         kvals = bessel_k_scaled_grid(ts, w)
-        psi = mellin.values_at(-0.5 - 1j * ts)
-        kernel = _eisenstein_kernel(ts)
+        kernel = _eisenstein_kernel(ts, zeta_1_2it)
         dsum = np.exp(1j * np.outer(ts, log_ratios)).sum(axis=1)
         contrib = complex(np.dot(wt, psi * kernel * dsum * kvals))
         total += contrib
@@ -544,7 +648,10 @@ def a_ell_y(
                 break
         else:
             quiet = 0
-        k += 1
+    else:
+        raise ToleranceError(
+            f"tail tolerance {tol} unattainable below t = {_AELL_T_CAP} for ell={ell}, y={y}"
+        )
     value = math.sqrt(y / math.pi) * 2.0 * total.real
     return complex(value, 0.0)
 
@@ -624,58 +731,6 @@ def w_main_term(
     main = support_prefactor(n, ell, k) * bump(rho)
     envelope = k**eps * (Y / (n + 0.5 * ell)) ** (1.0 + eps)
     return main, envelope
-
-
-def w_weight_contour(
-    n: int,
-    ell: int,
-    Y: float,
-    k: int,
-    mellin: MellinTransform | None = None,
-    sigma: float = 2.0,
-    t_max: float = 120.0,
-    tol: float = 1e-12,
-) -> float:
-    """W(n, ell; Y) straight from the contour integral on Re s = sigma.
-
-    Quadrature of G(-s) X^s Gamma(s+k-1)/Gamma(k-1) is only stable for small
-    weights; this exists to validate the Laplace form against it.
-    """
-    if mellin is None:
-        mellin = MellinTransform()
-    x_arg = Y / (4.0 * math.pi * (n + 0.5 * ell))
-    log_x = math.log(x_arg)
-    lg_den = math.lgamma(k - 1)
-    pref = support_prefactor(n, ell, k)
-
-    block = 4.0
-    panels_per_block = 24
-    total = 0.0
-    quiet = 0
-    kk = 0
-    while True:
-        lo = kk * block
-        if lo > t_max:
-            raise ToleranceError("contour tail did not fall below tolerance")
-        edges = np.linspace(lo, lo + block, panels_per_block + 1)
-        ts, wt = (a.ravel() for a in _gauss_legendre(edges, _GL16))
-        acc = 0.0
-        for t, wgt in zip(ts, wt):
-            s = complex(sigma, t)
-            val = (
-                mellin(-s)
-                * cmath.exp(s * log_x + clgamma(s + k - 1) - lg_den)
-            )
-            acc += wgt * val.real
-        total += acc
-        if abs(acc) < tol / 8.0:
-            quiet += 1
-            if quiet >= 2 and kk >= 1:
-                break
-        else:
-            quiet = 0
-        kk += 1
-    return pref * total / math.pi
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,22 @@ the Eisenstein coefficients, plain trial division for smooth parts,
 brute-force tuple enumeration for tau_m, the schoolbook convolution for
 exact series products, and a walk over the progression itself for the
 sifted count of a residue-class system.  The scalar K-Bessel and zeta loops
-and the four multiplicative-table builders at the end are the slow
-references for the library paths that replaced them.
+and the four multiplicative-table builders are the slow references for the
+library paths that replaced them.  The last four functions (complex Gamma,
+K_it over an array of orders, the Mellin decay calibration and the contour
+form of the spectral weight) have no caller outside the tests.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import numpy as np
+
+from shiftsieve.specfun import _bessel_panels, bessel_k_scaled_grid, clgamma, support_prefactor
 
 GLN32, GLW32 = np.polynomial.legendre.leggauss(32)
 GLN8, GLW8 = np.polynomial.legendre.leggauss(8)
@@ -363,3 +368,75 @@ def smooth_numbers_dfs(limit: float, z: float) -> list[int]:
 
     extend(1, 0)
     return sorted(found)
+
+
+def cgamma(z: complex) -> complex:
+    """Gamma(z) as exp of the library's principal log-gamma."""
+    return cmath.exp(clgamma(z))
+
+
+def bessel_k_it_grid(ts: np.ndarray, w: float) -> np.ndarray:
+    """K_{it}(w) over an array of orders, batched the way `specfun.bessel_k_it`
+    works one order at a time: orders |t| <= 8 share one set of
+    cosh-representation nodes, larger ones go through
+    `specfun.bessel_k_scaled_grid`."""
+    ts = np.asarray(ts, dtype=float)
+    t_abs = np.abs(ts)
+    out = np.empty(ts.shape)
+    large = t_abs > 8.0
+    if large.any():
+        out[large] = np.exp(-0.5 * np.pi * t_abs[large]) * bessel_k_scaled_grid(t_abs[large], w)
+    small = ~large
+    if small.any():
+        nodes, weights = _bessel_panels(float(np.max(t_abs[small])), w)
+        damp = weights * np.exp(-w * np.cosh(nodes))
+        out[small] = np.cos(np.outer(ts[small], nodes)) @ damp
+    return out
+
+
+def mellin_decay_constant(mellin, a_exp: int, sigmas, ts) -> float:
+    """max |G(sigma + it)| (1 + |t|)^A over the calibration grid."""
+    worst = 0.0
+    for sig in sigmas:
+        for t in ts:
+            worst = max(worst, abs(mellin(complex(sig, t))) * (1.0 + abs(t)) ** a_exp)
+    return worst
+
+
+def w_weight_contour(n: int, ell: int, big_y: float, k: int, mellin, sigma: float = 2.0,
+                     t_max: float = 120.0, tol: float = 1e-12) -> float:
+    """W(n, ell; Y) straight from the contour integral on Re s = sigma:
+
+        W = prefactor / pi * Re integral_0^inf G(-s) X^s Gamma(s+k-1)/Gamma(k-1) dt,
+
+    X = Y / (4 pi (n + ell/2)), in blocks of 24 Gauss-Legendre panels of
+    width 1/6 until two consecutive blocks fall below tol.  Only stable
+    for small weights; the reference for the Laplace form `specfun.w_weight`.
+    """
+    log_x = math.log(big_y / (4.0 * math.pi * (n + 0.5 * ell)))
+    lg_den = math.lgamma(k - 1)
+    total = 0.0
+    quiet = 0
+    block = 0
+    while True:
+        lo = 4.0 * block
+        if lo > t_max:
+            raise ArithmeticError("contour tail did not fall below tolerance")
+        edges = np.linspace(lo, lo + 4.0, 25)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        ts = (mid[:, None] + half[:, None] * GLN16[None, :]).ravel()
+        wt = (half[:, None] * GLW16[None, :]).ravel()
+        acc = 0.0
+        for t, wgt in zip(ts, wt):
+            s = complex(sigma, t)
+            acc += wgt * (mellin(-s) * cmath.exp(s * log_x + clgamma(s + k - 1) - lg_den)).real
+        total += acc
+        if abs(acc) < tol / 8.0:
+            quiet += 1
+            if quiet >= 2 and block >= 1:
+                break
+        else:
+            quiet = 0
+        block += 1
+    return support_prefactor(n, ell, k) * total / math.pi

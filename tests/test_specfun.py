@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,9 +9,13 @@ from shiftsieve import specfun as sf
 
 from .oracles import (
     aell_unfold,
+    bessel_k_it_grid,
     bessel_k_scaled_scalar,
     bessel_modulus_oscillatory,
+    cgamma,
     k0_decimal,
+    mellin_decay_constant,
+    w_weight_contour,
     zeta_scalar,
 )
 
@@ -47,22 +53,22 @@ class TestGamma:
             assert abs(sf.clgamma(x).imag) < 1e-13
 
     def test_integer_factorials(self):
-        assert sf.cgamma(5).real == pytest.approx(24.0, rel=1e-13)
+        assert cgamma(5).real == pytest.approx(24.0, rel=1e-13)
 
     def test_half_plus_it_modulus_closed_form(self):
         for t in (0.0, 0.5, 1.0, 5.0, 20.0):
-            assert abs(sf.cgamma(complex(0.5, t))) == pytest.approx(
+            assert abs(cgamma(complex(0.5, t))) == pytest.approx(
                 sf.gamma_half_plus_it_abs(t), rel=1e-12
             )
 
     def test_reflection_near_pole(self):
         # Gamma(-1e-6) ~ -1/1e-6 - gamma_euler
-        val = sf.cgamma(-1e-6)
+        val = cgamma(-1e-6)
         assert val.real == pytest.approx(-1e6 - 0.5772156649, rel=1e-9)
 
     def test_recursion(self):
         z = complex(1.3, 2.1)
-        assert sf.cgamma(z + 1) == pytest.approx(z * sf.cgamma(z), rel=1e-12)
+        assert cgamma(z + 1) == pytest.approx(z * cgamma(z), rel=1e-12)
 
 
 class TestBessel:
@@ -98,7 +104,7 @@ class TestBessel:
 
     def test_grid_matches_scalar(self):
         ts = np.array([0.0, 0.7, 3.0, 9.0])
-        grid = sf.bessel_k_it_grid(ts, 1.3)
+        grid = bessel_k_it_grid(ts, 1.3)
         for t, val in zip(ts, grid):
             assert val == pytest.approx(sf.bessel_k_it(float(t), 1.3), rel=1e-12, abs=1e-15)
 
@@ -128,11 +134,102 @@ class TestBesselLargeOrder:
 
     def test_grid_against_mpmath(self):
         # K_{30i}(1) and K_{40i}(1) from mpmath 1.3.0 at 30 digits
-        grid = sf.bessel_k_it_grid(np.array([30.0, 40.0, -30.0, 2.0]), 1.0)
+        grid = bessel_k_it_grid(np.array([30.0, 40.0, -30.0, 2.0]), 1.0)
         for val, ref in zip(grid, (-9.186127618251677e-22, -1.70044128098042e-28)):
             assert val == pytest.approx(ref, rel=1e-9)
         assert grid[2] == grid[0]
         assert grid[3] == pytest.approx(sf.bessel_k_it(2.0, 1.0), rel=1e-12)
+
+
+class TestDebye:
+    """The Debye route of `bessel_k_scaled_grid` for large orders."""
+
+    # exp(pi t/2) K_{it}(w) from mpmath 1.3.0 at 30 digits, printed by
+    # python -c "import mpmath; mpmath.mp.dps = 30; print([float((mpmath.exp(mpmath.pi * t / 2)
+    #            * mpmath.besselk(1j * t, w)).real) for t, w in ((30, 1.88), (100, 1.88), (60, 10))])"
+    MPMATH = (
+        (30.0, 1.88, -0.2930003962723569),
+        (100.0, 1.88, 0.017128774783153493),
+        (60.0, 10.0, 0.23598723309645828),
+    )
+
+    def test_polynomials_match_dlmf(self):
+        # DLMF 10.41.10: u_1, u_2, u_3 written out
+        def poly(coeffs, denom):
+            return tuple(Fraction(c, denom) for c in coeffs)
+
+        assert sf._debye_u(0) == (1,)
+        assert sf._debye_u(1) == poly((0, 3, 0, -5), 24)
+        assert sf._debye_u(2) == poly((0, 0, 81, 0, -462, 0, 385), 1152)
+        assert sf._debye_u(3) == poly((0, 0, 0, 30375, 0, -369603, 0, 765765, 0, -425425), 414720)
+        for k in range(sf._DEBYE_TERMS + 1):
+            # only the powers p^k, p^(k+2), ..., p^(3k) occur
+            coeffs = sf._debye_u(k)
+            assert len(coeffs) == 3 * k + 1 and coeffs[-1] != 0
+            assert all(c == 0 for j, c in enumerate(coeffs) if j < k or (j - k) % 2)
+
+    def test_against_mpmath(self):
+        for t, w, ref in self.MPMATH:
+            value, omitted = sf._debye_scaled(np.array([t]), w)
+            assert omitted[0] < sf._DEBYE_TOL
+            assert abs(value[0] - ref) <= 2e-14
+            assert abs(sf.bessel_k_scaled(t, w) - ref) <= 2e-14
+
+    @staticmethod
+    def _switch(w: float) -> float:
+        """The smallest order on a 1/64 grid from which on the grid takes the Debye route."""
+        ts = w + 1.0 + np.arange(0.0, 200.0, 1.0 / 64)
+        _, omitted = sf._debye_scaled(ts, w)
+        return float(ts[np.flatnonzero(omitted >= sf._DEBYE_TOL)[-1] + 1])
+
+    def test_agrees_with_quadrature_across_switch(self):
+        for w in (0.63, 1.88, 9.4, 30.0):
+            switch = self._switch(w)
+            ts = np.concatenate([switch + np.linspace(-1.0, 4.0, 11), [400.0, 700.0]])
+            debye, _ = sf._debye_scaled(ts, w)
+            grid = sf.bessel_k_scaled_grid(ts, w)
+            for t, d_val, g_val in zip(ts, debye, grid):
+                ref = bessel_k_scaled_scalar(t, w)
+                assert abs(d_val - ref) <= 1e-13, (w, t)
+                assert abs(g_val - ref) <= 1e-13, (w, t)
+
+    def test_switch_follows_first_omitted_term(self):
+        switches = [self._switch(w) for w in (0.05, 1.88, 30.0)]
+        assert switches == sorted(switches)
+        # below the switch the grid is the quadrature, above it the expansion
+        for w, switch in zip((0.05, 1.88, 30.0), switches):
+            below, above = switch - 1.0 / 64, switch
+            assert sf.bessel_k_scaled_grid(np.array([below]), w)[0] == (
+                sf._quadrature_scaled(np.array([below]), w)[0])
+            assert sf.bessel_k_scaled_grid(np.array([above]), w)[0] == (
+                sf._debye_scaled(np.array([above]), w)[0][0])
+
+
+class TestAellBlocks:
+    """The block-shifted Mellin and zeta sums of `a_ell_y` against the direct
+    evaluations they replace, at blocks up to t = 700."""
+
+    BLOCKS = (0, 1, 50, 174)
+
+    def _blocks(self, mellin):
+        blocks = list(itertools.islice(sf._aell_blocks(mellin), self.BLOCKS[-1] + 1))
+        return [blocks[k] for k in self.BLOCKS]
+
+    def test_block_nodes(self, mellin):
+        for k, (ts, wt, _, _) in zip(self.BLOCKS, self._blocks(mellin)):
+            assert ts.shape == wt.shape == (128,)
+            assert 4 * k < ts[0] and ts[-1] < 4 * k + 4
+            assert math.fsum(wt) == pytest.approx(4.0, rel=1e-14)
+
+    def test_mellin_matches_values_at(self, mellin):
+        for ts, _, psi, _ in self._blocks(mellin):
+            direct = mellin.values_at(-0.5 - 1j * ts)
+            assert np.max(np.abs(psi - direct)) <= 1e-15
+
+    def test_zeta_matches_zeta(self, mellin):
+        for ts, _, _, zeta_1_2it in self._blocks(mellin):
+            direct = sf.zeta(1.0 + 2.0j * ts)
+            assert np.max(np.abs(zeta_1_2it - direct) / np.abs(direct)) <= 1e-12
 
 
 class TestBatchedPaths:
@@ -296,9 +393,7 @@ class TestMellin:
         # |G|(1+t)^A peaks near t ~ (A / c)^2 for the Gevrey-type bump;
         # calibrate through the peak, then check decay holds past it
         a_exp = 4
-        c4 = mellin.measured_decay_constant(
-            a_exp, sigmas=(-2, -0.5, 0, 2), ts=range(0, 151, 5)
-        )
+        c4 = mellin_decay_constant(mellin, a_exp, sigmas=(-2, -0.5, 0, 2), ts=range(0, 151, 5))
         assert math.isfinite(c4)
         for sigma in (-2.0, -0.5, 2.0):
             for t in (200.0, 260.0, 320.0):
@@ -369,7 +464,7 @@ class TestWWeight:
     def test_contour_equivalence_small_weight(self, mellin):
         for (n, ell, y_par, k) in ((5, 1, 10.0, 12), (9, 2, 12.0, 16)):
             laplace = sf.w_weight(n, ell, y_par, k, bump=mellin.bump)
-            contour = sf.w_weight_contour(n, ell, y_par, k, mellin=mellin)
+            contour = w_weight_contour(n, ell, y_par, k, mellin)
             assert laplace == pytest.approx(contour, rel=1e-10)
 
     def test_main_term_peak_value(self):
