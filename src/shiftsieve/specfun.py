@@ -364,11 +364,14 @@ def _debye_u(k: int) -> tuple[Fraction, ...]:
 
 
 @functools.cache
-def _debye_table() -> tuple[np.ndarray, ...]:
-    """u_k(p) = p^k P_k(p^2) for k = 0.._DEBYE_TERMS: the coefficients of
-    each P_k in floating point, lowest first."""
-    return tuple(np.array([float(c) for c in _debye_u(k)[k::2]])
-                 for k in range(_DEBYE_TERMS + 1))
+def _debye_table() -> np.ndarray:
+    """u_k(p) = p^k P_k(p^2) for k = 0.._DEBYE_TERMS: row k holds the
+    coefficients of P_k in floating point, lowest first, padded with zeros
+    to a common length."""
+    table = np.zeros((_DEBYE_TERMS + 1, _DEBYE_TERMS + 1))
+    for k in range(_DEBYE_TERMS + 1):
+        table[k, : k + 1] = [float(c) for c in _debye_u(k)[k::2]]
+    return table
 
 
 def _debye_scaled(t: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
@@ -388,9 +391,11 @@ def _debye_scaled(t: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
     """
     d = np.sqrt((t - w) * (t + w))
     p = t / d
-    table = _debye_table()
     p2 = p * p
-    terms = [(p / t) ** k * np.polynomial.polynomial.polyval(p2, c) for k, c in enumerate(table)]
+    poly = np.zeros((_DEBYE_TERMS + 1, t.size))
+    for column in _debye_table().T[::-1]:  # Horner in p^2, every P_k at once
+        poly = poly * p2 + column[:, None]
+    terms = [(p / t) ** k * poly[k] for k in range(_DEBYE_TERMS + 1)]
     kept = _DEBYE_TERMS  # i^k cycles through 1, i, -1, -i
     real = sum(terms[0:kept:4]) - sum(terms[2:kept:4])
     imag = sum(terms[1:kept:4]) - sum(terms[3:kept:4])

@@ -177,7 +177,7 @@ class TestDebye:
 
     @staticmethod
     def _switch(w: float) -> float:
-        """The smallest order on a 1/64 grid from which on the grid takes the Debye route."""
+        """The first order of a 1/64-spaced grid from which on every order takes the Debye route."""
         ts = w + 1.0 + np.arange(0.0, 200.0, 1.0 / 64)
         _, omitted = sf._debye_scaled(ts, w)
         return float(ts[np.flatnonzero(omitted >= sf._DEBYE_TOL)[-1] + 1])
