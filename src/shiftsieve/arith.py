@@ -58,7 +58,7 @@ def prime_table(limit: int) -> np.ndarray:
         raise ValueError(f"prime table limit {limit} exceeds capacity {PRIME_TABLE_MAX}")
     if limit > _primes_limit:
         cache_dir = os.environ.get(_CACHE_ENV)
-        table, size = None, limit
+        table = None
         for size in _cached_limits(cache_dir, limit) if cache_dir else ():
             table = _load_table(os.path.join(cache_dir, f"primes_{size}.npy"), size)
             if table is not None:
