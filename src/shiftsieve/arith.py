@@ -9,7 +9,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import re
 import stat
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
@@ -45,47 +44,30 @@ def prime_table(limit: int) -> np.ndarray:
     """Sorted primes <= limit (int64).  Built once and grown on demand.
 
     If the SHIFTSIEVE_PRIME_CACHE environment variable names a directory,
-    sieved tables are persisted there as primes_<L>.npy files and reloaded:
-    the smallest cached table with L >= limit that passes `_valid_table` is
-    loaded whole and sliced.  If none does, the table is sieved again and
-    written to primes_<limit>.npy, replacing a bad file there.  Files are
-    written through `atomic_open`, so a concurrent reader never sees a
-    partial table.
+    sieved tables are persisted there as .npy files and reloaded.  A cached
+    file is used only if it passes `_valid_table`; otherwise the table is
+    sieved again and the file replaced.  Files are written through
+    `atomic_open`, so a concurrent reader never sees a partial table.
     """
     global _primes, _primes_limit
     limit = int(limit)
     if limit > PRIME_TABLE_MAX:
         raise ValueError(f"prime table limit {limit} exceeds capacity {PRIME_TABLE_MAX}")
-    if limit > _primes_limit:
-        cache_dir = os.environ.get(_CACHE_ENV)
-        table = None
-        for size in _cached_limits(cache_dir, limit) if cache_dir else ():
-            table = _load_table(os.path.join(cache_dir, f"primes_{size}.npy"), size)
-            if table is not None:
-                break
-        if table is None:
-            table, size = _sieve(0, limit), limit
-            if cache_dir:
-                os.makedirs(cache_dir, exist_ok=True)
-                with atomic_open(os.path.join(cache_dir, f"primes_{limit}.npy")) as fh:
-                    np.save(fh, table)
-        _primes = table
-        _primes_limit = size
-    return _primes[: np.searchsorted(_primes, limit, side="right")]
+    if limit <= _primes_limit:
+        return _primes[: np.searchsorted(_primes, limit, side="right")]
 
-
-_CACHE_NAME = re.compile(r"primes_(0|[1-9][0-9]*)\.npy")
-
-
-def _cached_limits(cache_dir: str, limit: int) -> list[int]:
-    """The L, limit <= L <= PRIME_TABLE_MAX, of the primes_<L>.npy files in
-    cache_dir, smallest first."""
-    try:
-        names = os.listdir(cache_dir)
-    except OSError:
-        return []
-    sizes = (int(m.group(1)) for m in map(_CACHE_NAME.fullmatch, names) if m)
-    return sorted(size for size in sizes if limit <= size <= PRIME_TABLE_MAX)
+    cache_dir = os.environ.get(_CACHE_ENV)
+    path = os.path.join(cache_dir, f"primes_{limit}.npy") if cache_dir else None
+    table = _load_table(path, limit) if path else None
+    if table is None:
+        table = _sieve(0, limit)
+        if path:
+            os.makedirs(cache_dir, exist_ok=True)
+            with atomic_open(path) as fh:
+                np.save(fh, table)
+    _primes = table
+    _primes_limit = limit
+    return _primes
 
 
 def _sieve(lo: int, hi: int) -> np.ndarray:

@@ -573,10 +573,9 @@ class _ShiftedSum:
         self.node_phase = np.exp(-1j * np.outer(offsets, lam))
         self.panel_phase = amp[:, None] * np.exp(-1j * np.outer(lam, starts))
 
-    def block(self, base: float, terms: int | None = None) -> np.ndarray:
+    def block(self, base: float, n: int) -> np.ndarray:
         """F at the nodes of the block, panel after panel, summed over the
-        first `terms` terms (all of them by default)."""
-        n = self.lam.size if terms is None else terms
+        first n terms."""
         shift = np.exp(-1j * base * self.lam[:n])
         return (self.node_phase[:, :n] @ (self.panel_phase[:n] * shift[:, None])).T.ravel()
 
@@ -605,7 +604,7 @@ def _aell_blocks(mellin: MellinTransform):
         ts, wt = (a.ravel() for a in _gauss_legendre(edges, _GL16))
         n = int(_zeta_terms(2.0 * ts[-1]))
         zeta_1_2it = _add_euler_maclaurin(head.block(lo, n - 1), 1.0 + 2j * ts, float(n))
-        yield ts, wt, psi.block(lo), zeta_1_2it
+        yield ts, wt, psi.block(lo, psi.lam.size), zeta_1_2it
         lo += _AELL_BLOCK
 
 

@@ -92,48 +92,6 @@ class TestPrimeCacheFile:
             self.check_rebuilt(path, fresh_table)
 
 
-class TestPrimeCacheReuse:
-    """A valid cached table for a larger limit serves a smaller one, sliced;
-    a bad or smaller one does not."""
-
-    @pytest.fixture
-    def table(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SHIFTSIEVE_PRIME_CACHE", str(tmp_path))
-
-        def table(limit):
-            monkeypatch.setattr(arith, "_primes", np.array([], dtype=np.int64))
-            monkeypatch.setattr(arith, "_primes_limit", 0)
-            return arith.prime_table(limit)
-
-        return table
-
-    def test_larger_table_sliced(self, tmp_path, table, monkeypatch):
-        table(20000)
-        np.save(tmp_path / "primes_9000.npy", np.array(primes_upto(9000), dtype=np.int64))
-        sieved = []
-        sieve = arith._sieve
-        monkeypatch.setattr(arith, "_sieve", lambda lo, hi: sieved.append((lo, hi)) or sieve(lo, hi))
-        assert list(table(5000)) == primes_upto(5000)
-        assert max(hi - lo for lo, hi in sieved) < arith._SPOT_WIDTH  # spot checks only
-        assert arith._primes_limit == 9000  # the smallest file that covers the limit
-        assert list(arith.prime_table(8500)) == primes_upto(8500)  # already in memory
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["primes_20000.npy", "primes_9000.npy"]
-
-    def test_bad_larger_table_skipped(self, tmp_path, table):
-        table(20000)
-        primes = primes_upto(9000)
-        np.save(tmp_path / "primes_9000.npy", np.array(primes[:3] + [9] + primes[3:]))
-        assert list(table(5000)) == primes_upto(5000)
-        assert arith._primes_limit == 20000
-
-    def test_smaller_or_foreign_files_ignored(self, tmp_path, table):
-        np.save(tmp_path / "primes_1000.npy", np.array(primes_upto(1000), dtype=np.int64))
-        np.save(tmp_path / "primes_09000.npy", np.array(primes_upto(9000), dtype=np.int64))
-        assert list(table(5000)) == primes_upto(5000)
-        assert arith._primes_limit == 5000
-        assert list(np.load(tmp_path / "primes_5000.npy")) == primes_upto(5000)
-
-
 class TestMultiplicative:
     def test_tau_m_examples(self):
         assert arith.tau_m(1, 5) == 1
