@@ -12,7 +12,6 @@ from .shifted import (
     eigenform_handle,
     m_of_x,
     partition_sums,
-    s_ell_brute,
     sieve_side_bound,
     tau_handle,
     theorem2_report,

@@ -5,23 +5,24 @@ Exit codes: 0 success, 1 validation or usage error (a non-finite number
 included), a numerical failure or a table too large for memory, 2 a
 mathematical property that must always hold was found violated (e.g. a
 sieve instance with brute-force count above the large-sieve bound).
-Output is a pure function of the run configuration, seed included, down
-to the byte.
+Output is a pure function of the arguments, seed included, down to the
+byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import arith, equidist, largesieve, qexpansion, shifted, specfun
 
-__all__ = ["main", "entry", "RunConfig", "UsageError"]
+__all__ = ["main", "entry", "UsageError"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,23 +38,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run description; equal configs produce identical bytes."""
-
-    command: str
-    params: tuple[tuple[str, object], ...]
-    seed: int | None
-    out: str
-    fmt: str
-
-    def get(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -62,97 +46,101 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
-    if cfg.fmt == "csv":
+def _write_rows(args: argparse.Namespace, header: list[str], rows: list[list]) -> None:
+    if args.format == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
         payload = {
-            "command": cfg.command,
+            "command": args.command,
             "rows": [dict(zip(header, row)) for row in rows],
         }
         text = json.dumps(payload, sort_keys=True, default=_fmt) + "\n"
-    with arith.atomic_open(cfg.out) as handle:
+    with arith.atomic_open(args.out) as handle:
         handle.write(text.encode())
 
 
-def _floats(text: str) -> list[float]:
+# ---------------------------------------------------------------------------
+# option types: each rejects what the library must never see
+
+def _finite(text: str) -> float:
     try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad numeric list {text!r}") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"non-finite value in {text!r}")
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value {text!r}")
+    return value
+
+
+def _values(text: str, convert) -> list:
+    """The comma-separated items of text through convert, blank items
+    skipped; an empty, malformed or non-finite list is a usage error."""
+    try:
+        values = [convert(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad {convert.__name__} list {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    if not all(cmath.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"non-finite value in {text!r}")
     return values
 
 
+def _floats(text: str) -> list[float]:
+    return _values(text, float)
+
+
 def _ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad integer list {text!r}") from exc
+    return _values(text, int)
+
+
+def _complexes(text: str) -> list[complex]:
+    return _values(text, complex)
 
 
 # ---------------------------------------------------------------------------
 # command implementations
 
-def _run_eigenform(cfg: RunConfig) -> int:
-    weight = cfg.get("weight")
-    cutoff = cfg.get("cutoff")
-    form = qexpansion.eigenform(weight, cutoff)
-    header = ["n", "a_f", "lambda"]
-    rows = [[n, str(form.a(n)), form.eigenvalue(n)] for n in range(1, cutoff + 1)]
-    _write_rows(cfg, header, rows)
+def _run_eigenform(args: argparse.Namespace) -> int:
+    if args.cutoff < 1:
+        raise UsageError("cutoff must be >= 1")
+    form = qexpansion.eigenform(args.weight, args.cutoff)
+    rows = [[n, str(form.a(n)), form.eigenvalue(n)] for n in range(1, args.cutoff + 1)]
+    _write_rows(args, ["n", "a_f", "lambda"], rows)
     return EXIT_OK
 
 
-def _make_handle(cfg: RunConfig, limit: int) -> shifted.CoefficientHandle:
-    weight = cfg.get("weight")
-    function = cfg.get("function")
-    if (weight is None) == (function is None):
-        raise UsageError("pass exactly one of --weight or --function")
-    if weight is not None:
-        form = qexpansion.eigenform(weight, limit)
-        return shifted.eigenform_handle(form)
-    if function == "one":
-        return shifted.unit_handle(limit)
-    if function.startswith("tau"):
-        try:
-            m = int(function[3:])
-        except ValueError:
-            raise UsageError(f"unknown function {function!r}")
-        if not 1 <= m <= 6:
-            raise UsageError("tau order must be in 1..6")
-        return shifted.tau_handle(m, limit)
-    raise UsageError(f"unknown function {function!r}")
-
-
-def _run_shifted(cfg: RunConfig) -> int:
-    x = cfg.get("x")
-    ell = cfg.get("ell")
-    epsilon = cfg.get("epsilon")
+def _run_shifted(args: argparse.Namespace) -> int:
+    x, ell, epsilon = args.x, args.ell, args.epsilon
     if ell == 0 or abs(ell) > x:
         raise UsageError("need 0 < |ell| <= x")
     if not 0 < epsilon < 1:
         raise UsageError("epsilon must lie in (0, 1)")
-    handle = _make_handle(cfg, int(x) + abs(ell))
+    limit = int(x) + abs(ell)
+    if args.weight is not None:
+        handle = shifted.eigenform_handle(qexpansion.eigenform(args.weight, limit))
+    elif args.function == "one":
+        handle = shifted.unit_handle(limit)
+    else:
+        handle = shifted.tau_handle(int(args.function[3:]), limit)
     report = shifted.theorem2_report(handle, handle, x, epsilon, ell)
-    _write_rows(cfg, shifted.report_csv_header(), [shifted.report_csv_row(report)])
+    _write_rows(args, shifted.report_csv_header(), [shifted.report_csv_row(report)])
     identity_gap = abs(report.s_small + report.s_big - report.overlap - report.s_total)
     if identity_gap > 1e-9 * max(report.s_total, 1.0):
         return EXIT_VIOLATION
     return EXIT_OK
 
 
-def _run_sievecheck(cfg: RunConfig) -> int:
-    count = cfg.get("count")
-    seed = cfg.seed if cfg.seed is not None else 0
-    rng = random.Random(seed)
+def _run_sievecheck(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise UsageError("count must be >= 1")
+    rng = random.Random(args.seed)
     header = ["index", "a", "a_ell", "w", "v", "z", "x", "Q", "N", "brute", "bound", "holds"]
     rows = []
     violated = False
-    for i in range(count):
+    for i in range(args.count):
         sys_i, q = largesieve.random_admissible_system(rng)
         brute = largesieve.sift_bruteforce(sys_i)
         bound = largesieve.ls_bound(sys_i, q)
@@ -162,258 +150,168 @@ def _run_sievecheck(cfg: RunConfig) -> int:
             i, sys_i.a, sys_i.a_ell, sys_i.w, sys_i.v, sys_i.z, sys_i.x,
             q, sys_i.n_range, brute, bound, holds,
         ])
-    _write_rows(cfg, header, rows)
+    _write_rows(args, header, rows)
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
-def _run_mk(cfg: RunConfig) -> int:
-    weight = cfg.get("weight")
-    cutoff = cfg.get("cutoff")
-    form = qexpansion.eigenform(weight, cutoff)
-    report = equidist.corollary3_report(form, cutoff)
-    _write_rows(
-        cfg,
-        equidist.corollary3_csv_header(),
-        [equidist.corollary3_csv_row(report)],
-    )
+def _run_mk(args: argparse.Namespace) -> int:
+    if args.cutoff < args.weight:
+        raise UsageError("cutoff must reach the weight")
+    form = qexpansion.eigenform(args.weight, args.cutoff)
+    report = equidist.corollary3_report(form, args.cutoff)
+    _write_rows(args, equidist.corollary3_csv_header(), [equidist.corollary3_csv_row(report)])
     return EXIT_OK
 
 
-def _run_specfun(cfg: RunConfig) -> int:
-    verb = cfg.get("verb")
-    if verb == "bessel":
-        ts = cfg.get("t")
-        ws = cfg.get("w")
-        if not ts or not ws:
-            raise UsageError("bessel grid needs --t and --w lists")
-        a_exp = cfg.get("A", 0)
-        eps = cfg.get("eps", 0.0)
-        header = ["t", "w", "value", "bound_ratio"]
-        rows = []
-        for t in ts:
-            for w in ws:
-                check = specfun.bessel_bound_check(t, w, A=a_exp, eps=eps)
-                rows.append([t, w, specfun.bessel_k_it(t, w), check.ratio])
-    elif verb == "theta":
-        res = cfg.get("re")
-        ims = cfg.get("im")
-        if not res or not ims:
-            raise UsageError("theta grid needs --re and --im lists")
-        header = ["re", "im", "theta_re", "theta_im", "abs_phi"]
-        rows = []
-        for re in res:
-            for im in ims:
-                s = complex(re, im)
-                th = specfun.theta_s(s)
-                rows.append([re, im, th.real, th.imag, abs(specfun.varphi_s(s))])
-    elif verb == "wweight":
-        ks = cfg.get("k")
-        y_list = cfg.get("Y")
-        ell = cfg.get("ell")
-        if not ks or not y_list or ell is None:
-            raise UsageError("wweight grid needs --k, --Y and --ell")
-        header = ["k", "Y", "n", "w_weight", "main_term", "envelope"]
-        rows = []
-        for k in ks:
-            for y_val in y_list:
-                scale = y_val * (k - 1) / (4.0 * math.pi)
-                n_lo = max(1, 1 - ell, int(scale / 2 - ell / 2) - 1)
-                n_hi = int(scale - ell / 2) + 2
-                for n in range(n_lo, n_hi + 1):
-                    wv = specfun.w_weight(n, ell, y_val, k)
-                    main, env = specfun.w_main_term(n, ell, y_val, k)
-                    rows.append([k, y_val, n, wv, main, env])
-    elif verb == "gammaratio":
-        ks = cfg.get("k")
-        ss = cfg.get("s")
-        if not ks or not ss:
-            raise UsageError("gammaratio grid needs --k and --s lists")
-        header = ["k", "s_re", "s_im", "error", "normalized"]
-        rows = []
-        for k in ks:
-            for s_txt in ss:
-                try:
-                    s = complex(s_txt)
-                except ValueError:
-                    raise UsageError(f"bad complex value {s_txt!r}")
-                chk = specfun.gamma_ratio_check(k, s)
-                rows.append([k, s.real, s.imag, chk.error, chk.normalized])
-    elif verb == "aell":
-        ells = cfg.get("ell_list")
-        ys = cfg.get("y")
-        if not ells or not ys:
-            raise UsageError("aell grid needs --ell and --y lists")
-        a_exp = cfg.get("A", 4)
-        eps = cfg.get("eps", 0.1)
-        mellin = specfun.MellinTransform()
-        header = ["ell", "y", "value", "bound_ratio"]
-        rows = []
-        for ell in ells:
-            for y_val in ys:
-                val = specfun.a_ell_y(mellin, ell, y_val, tol=1e-6).real
-                scale = 1.0 / (abs(ell) * y_val)
-                denom = (
-                    arith.tau(abs(ell))
-                    * math.sqrt(y_val)
-                    * scale**a_exp
-                    * (1.0 + scale) ** eps
-                )
-                rows.append([ell, y_val, val, abs(val) / denom])
-    else:
-        raise UsageError(f"unknown specfun verb {verb!r}")
-    _write_rows(cfg, header, rows)
+def _run_bessel(args: argparse.Namespace) -> int:
+    rows = []
+    for t in args.t:
+        for w in args.w:
+            check = specfun.bessel_bound_check(t, w, A=args.A, eps=args.eps)
+            rows.append([t, w, specfun.bessel_k_it(t, w), check.ratio])
+    _write_rows(args, ["t", "w", "value", "bound_ratio"], rows)
     return EXIT_OK
 
 
-_RUNNERS = {
-    "eigenform": _run_eigenform,
-    "shifted": _run_shifted,
-    "sievecheck": _run_sievecheck,
-    "mk": _run_mk,
-    "specfun": _run_specfun,
-}
+def _run_theta(args: argparse.Namespace) -> int:
+    rows = []
+    for re in args.re:
+        for im in args.im:
+            s = complex(re, im)
+            th = specfun.theta_s(s)
+            rows.append([re, im, th.real, th.imag, abs(specfun.varphi_s(s))])
+    _write_rows(args, ["re", "im", "theta_re", "theta_im", "abs_phi"], rows)
+    return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="shiftsieve", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _run_wweight(args: argparse.Namespace) -> int:
+    ell = args.ell
+    rows = []
+    for k in args.k:
+        for y_val in args.Y:
+            scale = y_val * (k - 1) / (4.0 * math.pi)
+            n_lo = max(1, 1 - ell, int(scale / 2 - ell / 2) - 1)
+            n_hi = int(scale - ell / 2) + 2
+            for n in range(n_lo, n_hi + 1):
+                wv = specfun.w_weight(n, ell, y_val, k)
+                main, env = specfun.w_main_term(n, ell, y_val, k)
+                rows.append([k, y_val, n, wv, main, env])
+    _write_rows(args, ["k", "Y", "n", "w_weight", "main_term", "envelope"], rows)
+    return EXIT_OK
 
-    p_eig = sub.add_parser("eigenform", help="dump n, a_f(n), lambda(n)")
-    p_eig.add_argument("--weight", type=int, required=True)
-    p_eig.add_argument("--cutoff", type=int, required=True)
 
-    p_sh = sub.add_parser("shifted", help="shifted convolution sum report")
-    p_sh.add_argument("--weight", type=int)
-    p_sh.add_argument("--function", type=str)
-    p_sh.add_argument("--x", type=float, required=True)
-    p_sh.add_argument("--ell", type=int, required=True)
-    p_sh.add_argument("--epsilon", type=float, required=True)
+def _run_gammaratio(args: argparse.Namespace) -> int:
+    rows = []
+    for k in args.k:
+        for s in args.s:
+            chk = specfun.gamma_ratio_check(k, s)
+            rows.append([k, s.real, s.imag, chk.error, chk.normalized])
+    _write_rows(args, ["k", "s_re", "s_im", "error", "normalized"], rows)
+    return EXIT_OK
 
-    p_sc = sub.add_parser("sievecheck", help="random large-sieve instances")
-    p_sc.add_argument("--count", type=int, required=True)
 
-    p_mk = sub.add_parser("mk", help="M_k(f) / symmetric-square report")
-    p_mk.add_argument("--weight", type=int, required=True)
-    p_mk.add_argument("--cutoff", type=int, required=True)
+def _run_aell(args: argparse.Namespace) -> int:
+    mellin = specfun.MellinTransform()
+    rows = []
+    for ell in args.ell:
+        for y_val in args.y:
+            val = specfun.a_ell_y(mellin, ell, y_val, tol=1e-6).real
+            scale = 1.0 / (abs(ell) * y_val)
+            denom = (
+                arith.tau(abs(ell))
+                * math.sqrt(y_val)
+                * scale**args.A
+                * (1.0 + scale) ** args.eps
+            )
+            rows.append([ell, y_val, val, abs(val) / denom])
+    _write_rows(args, ["ell", "y", "value", "bound_ratio"], rows)
+    return EXIT_OK
 
-    p_sf = sub.add_parser("specfun", help="special-function CSV grids")
-    p_sf.add_argument("verb", choices=["bessel", "theta", "wweight", "gammaratio", "aell"])
-    p_sf.add_argument("--t", type=str)
-    p_sf.add_argument("--w", type=str)
-    p_sf.add_argument("--re", type=str)
-    p_sf.add_argument("--im", type=str)
-    p_sf.add_argument("--k", type=str)
-    p_sf.add_argument("--s", type=str)
-    p_sf.add_argument("--Y", type=str)
-    p_sf.add_argument("--ell", type=str)
-    p_sf.add_argument("--y", type=str)
-    p_sf.add_argument("--A", type=int)
-    p_sf.add_argument("--eps", type=float)
 
-    for p in (p_eig, p_sh, p_sc, p_mk, p_sf):
-        p.add_argument("--out", type=str, required=True)
-        p.add_argument("--format", type=str, choices=["csv", "json"], default="csv")
-        p.add_argument("--seed", type=int, default=None)
+def _command(group, name: str, run, help: str) -> _Parser:
+    """A subparser that runs `run` and writes its rows to --out."""
+    parser = group.add_parser(name, help=help)
+    parser.set_defaults(run=run)
+    output = parser.add_argument_group("output")
+    output.add_argument("--out", required=True, help="file to write")
+    output.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    params: dict[str, object] = {}
-    if command == "eigenform":
-        if args.weight not in qexpansion.SUPPORTED_EIGEN_WEIGHTS:
-            raise UsageError(
-                f"weight {args.weight} unsupported "
-                f"(one-dimensional weights: {qexpansion.SUPPORTED_EIGEN_WEIGHTS})"
-            )
-        if args.cutoff < 1:
-            raise UsageError("cutoff must be >= 1")
-        params = {"weight": args.weight, "cutoff": args.cutoff}
-    elif command == "shifted":
-        if args.weight is not None and args.weight not in qexpansion.SUPPORTED_EIGEN_WEIGHTS:
-            raise UsageError(f"weight {args.weight} unsupported")
-        if not math.isfinite(args.x):
-            raise UsageError(f"x must be finite, got {args.x}")
-        params = {
-            "weight": args.weight,
-            "function": args.function,
-            "x": args.x,
-            "ell": args.ell,
-            "epsilon": args.epsilon,
-        }
-    elif command == "sievecheck":
-        if args.count < 1:
-            raise UsageError("count must be >= 1")
-        params = {"count": args.count}
-    elif command == "mk":
-        if args.weight not in qexpansion.SUPPORTED_EIGEN_WEIGHTS:
-            raise UsageError(f"weight {args.weight} unsupported")
-        if args.cutoff < args.weight:
-            raise UsageError("cutoff must reach the weight")
-        params = {"weight": args.weight, "cutoff": args.cutoff}
-    elif command == "specfun":
-        params = {"verb": args.verb}
-        if args.t is not None:
-            params["t"] = tuple(_floats(args.t))
-        if args.w is not None:
-            params["w"] = tuple(_floats(args.w))
-        if args.re is not None:
-            params["re"] = tuple(_floats(args.re))
-        if args.im is not None:
-            params["im"] = tuple(_floats(args.im))
-        if args.k is not None:
-            params["k"] = tuple(_ints(args.k))
-        if args.s is not None:
-            params["s"] = tuple(args.s.split(","))
-        if args.Y is not None:
-            params["Y"] = tuple(_floats(args.Y))
-        if args.verb == "aell":
-            if args.ell is not None:
-                params["ell_list"] = tuple(_ints(args.ell))
-            if args.y is not None:
-                params["y"] = tuple(_floats(args.y))
-        elif args.ell is not None:
-            ells = _ints(args.ell)
-            if len(ells) != 1:
-                raise UsageError("this verb takes a single --ell")
-            params["ell"] = ells[0]
-        if args.A is not None:
-            params["A"] = args.A
-        if args.eps is not None:
-            if not math.isfinite(args.eps):
-                raise UsageError(f"eps must be finite, got {args.eps}")
-            params["eps"] = args.eps
-    return RunConfig(
-        command=command,
-        params=tuple(sorted(params.items(), key=lambda kv: kv[0])),
-        seed=args.seed,
-        out=args.out,
-        fmt=args.format,
-    )
+def _bound_exponents(parser: _Parser, a_exp: int, eps: float) -> None:
+    """--A and --eps, the exponents of the bound that bound_ratio divides by."""
+    parser.add_argument("--A", type=int, default=a_exp, help="(default %(default)s)")
+    parser.add_argument("--eps", type=_finite, default=eps, help="(default %(default)s)")
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    """The whole command line, built once per process: building the nine
+    subparsers costs more than parsing a small job's arguments."""
+    parser = _Parser(prog="shiftsieve", description=__doc__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    weights = qexpansion.SUPPORTED_EIGEN_WEIGHTS
+
+    p = _command(commands, "eigenform", _run_eigenform, "dump n, a_f(n), lambda(n)")
+    p.add_argument("--weight", type=int, choices=weights, required=True)
+    p.add_argument("--cutoff", type=int, required=True)
+
+    p = _command(commands, "shifted", _run_shifted, "shifted convolution sum report")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--weight", type=int, choices=weights)
+    source.add_argument("--function", choices=["one"] + [f"tau{m}" for m in range(1, 7)])
+    p.add_argument("--x", type=_finite, required=True)
+    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--epsilon", type=float, required=True)
+
+    p = _command(commands, "sievecheck", _run_sievecheck, "random large-sieve instances")
+    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+
+    p = _command(commands, "mk", _run_mk, "M_k(f) / symmetric-square report")
+    p.add_argument("--weight", type=int, choices=weights, required=True)
+    p.add_argument("--cutoff", type=int, required=True)
+
+    verbs = commands.add_parser("specfun", help="special-function CSV grids").add_subparsers(
+        dest="verb", required=True)
+
+    p = _command(verbs, "bessel", _run_bessel, "K_it(w) over a (t, w) grid")
+    p.add_argument("--t", type=_floats, required=True)
+    p.add_argument("--w", type=_floats, required=True)
+    _bound_exponents(p, 0, 0.0)
+
+    p = _command(verbs, "theta", _run_theta, "theta(s) and |varphi(s)| over a grid")
+    p.add_argument("--re", type=_floats, required=True)
+    p.add_argument("--im", type=_floats, required=True)
+
+    p = _command(verbs, "wweight", _run_wweight, "W(n, ell; Y) around its peak")
+    p.add_argument("--k", type=_ints, required=True)
+    p.add_argument("--Y", type=_floats, required=True)
+    p.add_argument("--ell", type=int, required=True)
+
+    p = _command(verbs, "gammaratio", _run_gammaratio, "the Stirling ratio check")
+    p.add_argument("--k", type=_ints, required=True)
+    p.add_argument("--s", type=_complexes, required=True)
+
+    p = _command(verbs, "aell", _run_aell, "Eisenstein coefficients a_ell(y)")
+    p.add_argument("--ell", type=_ints, required=True)
+    p.add_argument("--y", type=_floats, required=True)
+    _bound_exponents(p, 4, 0.1)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        return _RUNNERS[cfg.command](cfg)
-    except UsageError as exc:
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except (ValueError, ArithmeticError) as exc:  # UsageError, ToleranceError, OverflowError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, qexpansion.UnsupportedWeightError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ArithmeticError as exc:  # ToleranceError, OverflowError, ZeroDivisionError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except MemoryError as exc:  # a table too large for this machine
         print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
               file=sys.stderr)
-        return EXIT_USAGE
+    return EXIT_USAGE
 
 
 def entry() -> None:

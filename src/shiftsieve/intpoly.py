@@ -83,18 +83,3 @@ def mul_trunc(a: list[int], b: list[int], n: int) -> list[int]:
 
 def square_trunc(a: list[int], n: int) -> list[int]:
     return mul_trunc(a, a, n)
-
-
-def pow_trunc(a: list[int], e: int, n: int) -> list[int]:
-    """a**e truncated to n coefficients, by binary powering."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = [1] + [0] * (n - 1)
-    base = a[:n]
-    while e:
-        if e & 1:
-            result = mul_trunc(result, base, n)
-        e >>= 1
-        if e:
-            base = square_trunc(base, n)
-    return result

@@ -22,7 +22,6 @@ __all__ = [
     "SieveConstructionError",
     "crt_residue",
     "build_omega",
-    "h_value",
     "big_h",
     "ls_bound",
     "h_divisor_subsum",
@@ -137,21 +136,6 @@ def build_omega(
         z=float(z),
         m_start=m_start,
     )
-
-
-def h_value(q: int, sys: OmegaSystem) -> Fraction:
-    """h(q) = prod over p | q of omega(p)/(p - omega(p)), exact rational."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    value = Fraction(1)
-    for p, e in factorize(q):
-        if e > 1:
-            raise ValueError(f"q = {q} is not square-free")
-        if p not in sys.omega:
-            raise ValueError(f"prime {p} of q is outside the sieve prime set")
-        w = len(sys.omega[p])
-        value *= Fraction(w, p - w)
-    return value
 
 
 def _squarefree_h_sum(Q: float, sys: OmegaSystem, primes: list[int]) -> Fraction:

@@ -26,7 +26,6 @@ __all__ = [
     "eigenform_handle",
     "tau_handle",
     "unit_handle",
-    "s_ell_brute",
     "PartitionSums",
     "partition_sums",
     "m_of_x",
@@ -88,24 +87,6 @@ def _window(x: float, ell: int) -> tuple[int, int]:
     lo = max(1, 1 - ell)
     hi = int(x)
     return lo, hi
-
-
-def s_ell_brute(h1: CoefficientHandle, h2: CoefficientHandle, x: float, ell: int) -> float:
-    """S_ell(x) = sum over n <= x of |lambda_1(n) lambda_2(n+ell)|.
-
-    Terms with n + ell < 1 are skipped for negative shifts; accumulation is
-    compensated (fsum).
-    """
-    if ell == 0 or abs(ell) > x:
-        raise ValueError(f"shift must satisfy 0 < |ell| <= x, got ell={ell}, x={x}")
-    lo, hi = _window(x, ell)
-    if hi < lo:
-        return 0.0
-    h1.require(hi)
-    h2.require(hi + ell)
-    v1 = h1.values[lo : hi + 1]
-    v2 = h2.values[lo + ell : hi + ell + 1]
-    return fsum(v1 * v2)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ brute-force tuple enumeration for tau_m, the schoolbook convolution for
 exact series products, and a walk over the progression itself for the
 sifted count of a residue-class system.  The scalar K-Bessel and zeta loops
 and the four multiplicative-table builders are the slow references for the
-library paths that replaced them.  The last four functions (complex Gamma,
-K_it over an array of orders, the Mellin decay calibration and the contour
-form of the spectral weight) have no caller outside the tests.
+library paths that replaced them.  The last six functions (complex Gamma,
+K_it over an array of orders, the Mellin decay calibration, the contour
+form of the spectral weight, the brute-force S_ell(x) and the single
+large-sieve term h(q)) have no caller outside the tests.
 """
 
 from __future__ import annotations
@@ -440,3 +441,39 @@ def w_weight_contour(n: int, ell: int, big_y: float, k: int, mellin, sigma: floa
             quiet = 0
         block += 1
     return support_prefactor(n, ell, k) * total / math.pi
+
+
+def s_ell_brute(h1, h2, x: float, ell: int) -> float:
+    """S_ell(x) = sum over n <= x of |lambda_1(n) lambda_2(n+ell)|, straight
+    from the definition; the reference for `shifted.partition_sums`' total.
+
+    Terms with n + ell < 1 are skipped for negative shifts; accumulation is
+    compensated (fsum).
+    """
+    if ell == 0 or abs(ell) > x:
+        raise ValueError(f"shift must satisfy 0 < |ell| <= x, got ell={ell}, x={x}")
+    lo, hi = max(1, 1 - ell), int(x)
+    if hi < lo:
+        return 0.0
+    h1.require(hi)
+    h2.require(hi + ell)
+    return math.fsum(h1.values[lo : hi + 1] * h2.values[lo + ell : hi + ell + 1])
+
+
+def h_value(q: int, sys) -> Fraction:
+    """h(q) = prod over p | q of omega(p)/(p - omega(p)), exact, by trial
+    division over the sieve primes; summed over square-free q <= Q it is
+    the reference for `largesieve.big_h`."""
+    if q < 1:
+        raise ValueError("q must be positive")
+    value = Fraction(1)
+    for p in sys.primes:
+        if q % p == 0:
+            q //= p
+            if q % p == 0:
+                raise ValueError(f"q is not square-free at {p}")
+            w = len(sys.omega[p])
+            value *= Fraction(w, p - w)
+    if q != 1:
+        raise ValueError(f"q has a prime factor outside the sieve prime set: {q}")
+    return value

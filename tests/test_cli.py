@@ -223,6 +223,22 @@ class TestBoundary:
         self.rejected(tmp_path, capsys, ["specfun", "aell", "--ell", "1", "--y", "nan"])
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("args", [
+        ["specfun", "theta", "--re", "2", "--im", "0", "--A", "3"],
+        ["eigenform", "--weight", "12", "--cutoff", "3", "--seed", "1"],
+        ["specfun", "wweight", "--k", "50", "--Y", "1", "--ell", "1,2"],
+        ["specfun", "bessel", "--t", "", "--w", "1"],
+    ], ids=["theta-A", "eigenform-seed", "wweight-ell-list", "bessel-empty-t"])
+    def test_refused_by_its_parser(self, tmp_path, capsys, args):
+        self.rejected(tmp_path, capsys, args)
+
+    def test_verb_help_lists_its_own_options(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["specfun", "aell", "--help"])
+        assert stop.value.code == 0
+        text = capsys.readouterr().out
+        assert "--y" in text and "--t" not in text
+
     @pytest.mark.parametrize("exc", [specfun.ToleranceError("tail"), OverflowError("big"),
                                      ArithmeticError("guard"), MemoryError(),
                                      MemoryError("Unable to allocate 7.28 TiB")])
@@ -345,3 +361,24 @@ class TestAtomicOut:
         assert rc == 0
         assert first.read_bytes() == second.read_bytes() == expected
         assert os.path.samefile(first, second)
+
+    def test_read_only_directory_rewrites_in_place(self, tmp_path, monkeypatch):
+        # the tests run as root, which may write anywhere, so deny the
+        # directory through os.access, the check atomic_open makes
+        expected = self.expected(tmp_path)
+        out = tmp_path / "eig.csv"
+        out.write_bytes(b"old contents\n")
+        inode = out.stat().st_ino
+        real_access = os.access
+
+        def access(path, mode, **kwargs):
+            if os.fspath(path) == str(tmp_path) and mode & os.W_OK:
+                return False
+            return real_access(path, mode, **kwargs)
+
+        monkeypatch.setattr(os, "access", access)
+        rc, _ = run(tmp_path, "eig.csv", self.ARGS)
+        assert rc == 0
+        assert out.stat().st_ino == inode
+        assert out.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eig.csv"]

@@ -1,6 +1,6 @@
 from hypothesis import given, strategies as st
 
-from shiftsieve.intpoly import mul_trunc, pow_trunc, square_trunc
+from shiftsieve.intpoly import mul_trunc, square_trunc
 
 from .oracles import mul_trunc_schoolbook
 
@@ -55,17 +55,3 @@ def test_zero_and_identity():
 
 def test_truncation_beyond_product_length_pads_zero():
     assert mul_trunc([1, 1], [1, 1], 6) == [1, 2, 1, 0, 0, 0]
-
-
-def test_pow_trunc_geometric_series():
-    # (1 - q)^-1-style check through positive powers: (1+q)^4 truncated
-    assert pow_trunc([1, 1], 4, 5) == [1, 4, 6, 4, 1]
-    assert pow_trunc([2, -3], 0, 3) == [1, 0, 0]
-
-
-@given(poly, st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=40))
-def test_pow_trunc_matches_repeated_multiplication(a, e, n):
-    expected = [1] + [0] * (n - 1)
-    for _ in range(e):
-        expected = mul_trunc_schoolbook(expected, a, n)
-    assert pow_trunc(a, e, n) == expected

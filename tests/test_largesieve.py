@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from shiftsieve import largesieve as ls
 
-from .oracles import direct_scan_count
+from .oracles import direct_scan_count, h_value
 
 
 class TestCrt:
@@ -74,16 +74,16 @@ class TestBuildOmega:
 class TestHValues:
     def test_h_examples(self):
         sys = ls.build_omega(2, 3, 1, z=10, x=10000, v=1)
-        assert ls.h_value(1, sys) == Fraction(1)
-        assert ls.h_value(3, sys) == Fraction(1, 2)
-        assert ls.h_value(15, sys) == Fraction(1, 3)  # (1/2)(2/3)
+        assert h_value(1, sys) == Fraction(1)
+        assert h_value(3, sys) == Fraction(1, 2)
+        assert h_value(15, sys) == Fraction(1, 3)  # (1/2)(2/3)
 
     def test_h_rejects_bad_q(self):
         sys = ls.build_omega(2, 3, 1, z=10, x=10000, v=1)
         with pytest.raises(ValueError):
-            ls.h_value(9, sys)
+            h_value(9, sys)
         with pytest.raises(ValueError):
-            ls.h_value(13, sys)
+            h_value(13, sys)
 
     def test_big_h_examples(self):
         only3 = ls.build_omega(3, 1, 1, z=3, x=300, v=1)
@@ -92,6 +92,19 @@ class TestHValues:
         both = ls.build_omega(1, 1, 1, z=5, x=300, v=1)
         assert both.omega[3] == (0, 2) and both.omega[5] == (0, 4)
         assert ls.big_h(15, both) == Fraction(5)  # 1 + 2 + 2/3 + 4/3
+
+    def test_big_h_matches_h_sum(self):
+        # the square-free depth-first sum against h(q) summed over every q <= Q
+        rng = random.Random(11)
+        for _ in range(30):
+            sys, q = ls.random_admissible_system(rng, n_max=5000)
+            total = Fraction(0)
+            for n in range(1, int(q) + 1):
+                try:
+                    total += h_value(n, sys)
+                except ValueError:  # not square-free, or a prime outside P
+                    pass
+            assert ls.big_h(q, sys) == total
 
     def test_big_h_monotone_in_q(self):
         sys = ls.build_omega(1, 1, 1, z=20, x=10**4, v=1)

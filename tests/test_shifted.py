@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftsieve import arith, shifted as sh
 
-from .oracles import divisor_count, fz_split
+from .oracles import divisor_count, fz_split, s_ell_brute
 
 
 @pytest.fixture(scope="module")
@@ -45,26 +45,26 @@ class TestHandles:
 
 class TestBruteSum:
     def test_tau_example(self, tau2_1e3):
-        assert sh.s_ell_brute(tau2_1e3, tau2_1e3, 4, 1) == 18.0
+        assert s_ell_brute(tau2_1e3, tau2_1e3, 4, 1) == 18.0
 
     def test_constant_function(self):
         one = sh.unit_handle(20)
-        assert sh.s_ell_brute(one, one, 10, 3) == 10.0
+        assert s_ell_brute(one, one, 10, 3) == 10.0
 
     def test_negative_shift_skips_low_terms(self):
         one = sh.unit_handle(20)
         # n from 4 to 10: 7 terms
-        assert sh.s_ell_brute(one, one, 10, -3) == 7.0
+        assert s_ell_brute(one, one, 10, -3) == 7.0
 
     def test_shift_validation(self, tau2_1e3):
         with pytest.raises(ValueError):
-            sh.s_ell_brute(tau2_1e3, tau2_1e3, 100, 0)
+            s_ell_brute(tau2_1e3, tau2_1e3, 100, 0)
         with pytest.raises(ValueError):
-            sh.s_ell_brute(tau2_1e3, tau2_1e3, 10, 11)
+            s_ell_brute(tau2_1e3, tau2_1e3, 10, 11)
 
     def test_cutoff_guard(self, tau2_1e3):
         with pytest.raises(ValueError):
-            sh.s_ell_brute(tau2_1e3, tau2_1e3, 1010, 1)
+            s_ell_brute(tau2_1e3, tau2_1e3, 1010, 1)
 
 
 class TestPartition:
@@ -96,6 +96,11 @@ class TestPartition:
             if a <= params.y and al <= params.y:
                 small += t
         assert (parts.s_total, parts.s_big, parts.s_small, parts.overlap) == (tot, big, small, ovl)
+
+    def test_total_matches_brute_sum(self, tau2_1e3):
+        for x, eps, ell in ((1000, 0.5, 1), (900, 0.3, -4), (500, 0.8, 6)):
+            parts = sh.partition_sums(tau2_1e3, tau2_1e3, arith.make_params(x, eps), ell)
+            assert parts.s_total == s_ell_brute(tau2_1e3, tau2_1e3, x, ell)
 
     def test_degenerate_y_above_x(self, tau2_1e3):
         # epsilon near 1 puts y near x: nothing is big
@@ -188,8 +193,8 @@ class TestTheorem2Report:
 
     def test_shift_sign_symmetry_reported(self, tau2_1e4):
         # index shift: sums agree up to boundary terms, reported not asserted
-        plus = sh.s_ell_brute(tau2_1e4, tau2_1e4, 10**4 - 10, 3)
-        minus = sh.s_ell_brute(tau2_1e4, tau2_1e4, 10**4 - 10, -3)
+        plus = s_ell_brute(tau2_1e4, tau2_1e4, 10**4 - 10, 3)
+        minus = s_ell_brute(tau2_1e4, tau2_1e4, 10**4 - 10, -3)
         assert abs(plus - minus) / plus < 0.01
 
 
@@ -222,7 +227,7 @@ class TestSieveSideBound:
 
 class TestTrends:
     def test_s_total_monotone_in_x(self, tau2_1e4):
-        values = [sh.s_ell_brute(tau2_1e4, tau2_1e4, x, 1) for x in (100, 1000, 10_000)]
+        values = [s_ell_brute(tau2_1e4, tau2_1e4, x, 1) for x in (100, 1000, 10_000)]
         assert 0 <= values[0] < values[1] < values[2]
 
     def test_big_part_share_shrinks(self, delta_1e6):
