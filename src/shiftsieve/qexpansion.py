@@ -84,8 +84,10 @@ def eisenstein_qexp(weight: int, cutoff: int) -> QExpansion:
 
     Every coefficient comes from the divisor-sum formula, with sigma_{k-1}
     built from its prime-power values (p^{(k-1)(e+1)} - 1)/(p^{k-1} - 1) in
-    Python ints; for weights 8, 10 and 14 this is also E4^2, E4*E6 and E4^2*E6,
-    since those spaces of modular forms are one-dimensional.
+    Python ints, written 1 + p^{k-1} at e = 1 so that the many n with a
+    prime factor above sqrt(cutoff) skip a big-integer division; for weights
+    8, 10 and 14 this is also E4^2, E4*E6 and E4^2*E6, since those spaces of
+    modular forms are one-dimensional.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -93,7 +95,9 @@ def eisenstein_qexp(weight: int, cutoff: int) -> QExpansion:
         raise UnsupportedWeightError(f"Eisenstein weight {weight} not in (4, 6, 8, 10, 14)")
     const = _EISENSTEIN_CONST[weight]
     s = weight - 1
-    sig = multiplicative_table(cutoff, lambda p, e: (p ** (s * (e + 1)) - 1) // (p**s - 1), object)
+    sig = multiplicative_table(
+        cutoff, lambda p, e: p**s + 1 if e == 1 else (p ** (s * (e + 1)) - 1) // (p**s - 1), object
+    )
     coeffs = [1] + [const * v for v in sig[1:].tolist()]
     return QExpansion(weight, tuple(coeffs))
 

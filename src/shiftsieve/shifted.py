@@ -252,12 +252,16 @@ class SieveSideBound:
     where maxfactor is the computed maximum of |l1(b) l2(b_ell)| over the
     progression members whose cofactors are z-rough; every inner count is
     replaced by its large-sieve bound, so value >= s_small by construction.
+    cells counts the admissible (v, a, a_ell) with l1(v a) != 0,
+    contributing_cells those that add a term, and distinct_h the exact H
+    values computed (the rest are read back from the memo).
     """
 
     value: float
     vw_pairs: int
     cells: int
     contributing_cells: int
+    distinct_h: int
 
 
 def sieve_side_bound(
@@ -266,6 +270,21 @@ def sieve_side_bound(
     params: SievingParameters,
     ell: int,
 ) -> SieveSideBound:
+    """One pass over n for each divisor v of |ell|, with w = ell/v.
+
+    a is z-smooth, so the cofactor b = n/a is z-rough exactly when
+    smooth(n) = a, and likewise b_ell = (n+w)/a_ell when smooth(n+w) =
+    a_ell.  The cells that contribute are therefore the distinct pairs
+    (smooth(n), smooth(n+w)) over max(1, 1-w) <= n <= x/v that pass the
+    size and gcd conditions, and a cell's maxfactor is the maximum of
+    l1(n/a) l2((n+w)/a_ell) over its n.  fsum is exactly rounded, so the
+    order of the terms does not matter.
+
+    H depends on the system only through omega(p) for the odd primes
+    p <= min(z, Q), and omega(p) = 1 exactly when p | a a_ell w (for p
+    dividing neither a nor a_ell the two struck classes coincide iff p | w),
+    2 otherwise.  H is memoised on that prime set within the call.
+    """
     x, z, y, q_par = params.x, params.z, params.y, params.Q
     if ell == 0 or abs(ell) > x:
         raise ValueError(f"shift must satisfy 0 < |ell| <= x, got ell={ell}")
@@ -274,63 +293,77 @@ def sieve_side_bound(
     h2.require(limit)
     smooth = smooth_part_table(limit, z)
     q2 = q_par * q_par
+    p_max = min(z, q_par)
+    h_primes = [p for p in prime_table(int(p_max)).tolist() if p != 2] if p_max >= 3 else []
+    h_memo: dict[tuple[int, ...], float] = {}
 
     terms: list[float] = []
     vw_pairs = 0
     cells = 0
-    contributing = 0
     for v in divisors(abs(ell)):
         w = ell // v
         vw_pairs += 1
         y_v = y / v
         if y_v < 1 or v > x:
             continue
-        smooth_as = list(arith.smooth_numbers_upto(y_v, z))
-        for a in smooth_as:
-            outer1 = h1.values[v * a]
-            if outer1 == 0.0:
+        hi = math.floor(x / v)
+        smooth_as = np.fromiter(arith.smooth_numbers_upto(min(y_v, hi), z), dtype=np.int64)
+        cells += _count_cells(h1, smooth_as, v, w, int(x))
+
+        lo = max(1, 1 - w)
+        n = np.arange(lo, hi + 1)
+        big_a, big_b = smooth[lo : hi + 1], smooth[lo + w : hi + w + 1]
+        keep = (big_a <= y_v) & (big_b <= y_v) & (v * big_a * big_b <= x)
+        # gcd(a, a_ell) divides w, so gcd(a a_ell, w) = 1 makes them coprime
+        keep &= np.gcd(big_a * big_b, abs(w)) == 1
+        n, big_a, big_b = n[keep], big_a[keep], big_b[keep]
+        outer1 = h1.values[v * big_a]
+        outer = outer1 * h2.values[v * big_b]
+        keep = (outer1 != 0.0) & (outer != 0.0)
+        n, big_a, big_b, outer = n[keep], big_a[keep], big_b[keep], outer[keep]
+        factor = h1.values[n // big_a] * h2.values[(n + w) // big_b]
+
+        order = np.lexsort((-factor, big_b, big_a))
+        big_a, big_b, outer, factor = big_a[order], big_b[order], outer[order], factor[order]
+        first = np.ones(big_a.size, dtype=bool)
+        first[1:] = (big_a[1:] != big_a[:-1]) | (big_b[1:] != big_b[:-1])
+        for a, a_ell, out, maxfactor in zip(
+            big_a[first].tolist(), big_b[first].tolist(),
+            outer[first].tolist(), factor[first].tolist(),
+        ):
+            if maxfactor == 0.0:
                 continue
-            for a_ell in smooth_as:
-                if gcd(a, a_ell) != 1 or gcd(a * a_ell, abs(w)) != 1:
-                    continue
-                aa = a * a_ell
-                if v * aa > x:
-                    continue
-                cells += 1
-                outer = outer1 * h2.values[v * a_ell]
-                if outer == 0.0:
-                    continue
-                r = crt_residue(a, a_ell, w)
-                m_max = int(math.floor((x / v - r) / aa))
-                if m_max < 0:
-                    continue
-                n_v = aa * np.arange(0, m_max + 1, dtype=np.int64) + r
-                keep = n_v >= 1
-                if w < 0:
-                    keep &= n_v + w >= 1
-                n_v = n_v[keep]
-                if n_v.size == 0:
-                    continue
-                b = n_v // a
-                b_ell = (n_v + w) // a_ell
-                rough = (smooth[b] == 1) & (smooth[b_ell] == 1)
-                if not rough.any():
-                    continue
-                maxfactor = float(
-                    np.max(h1.values[b[rough]] * h2.values[b_ell[rough]])
-                )
-                if maxfactor == 0.0:
-                    continue
+            aa = a * a_ell
+            r = crt_residue(a, a_ell, w)
+            m_max = int(math.floor((x / v - r) / aa))
+            key = tuple(p for p in h_primes if aa * w % p == 0)
+            h = h_memo.get(key)
+            if h is None:
                 sys = build_omega(
                     a, a_ell, w, z, x, v,
                     p_limit=q_par, m_start=0, n_range=m_max + 1,
                 )
-                bound = (sys.n_range + q2) / float(big_h(q_par, sys))
-                terms.append(outer * maxfactor * bound)
-                contributing += 1
+                h = h_memo[key] = float(big_h(q_par, sys))
+            terms.append(out * maxfactor * ((m_max + 1 + q2) / h))
     return SieveSideBound(
         value=fsum(terms),
         vw_pairs=vw_pairs,
         cells=cells,
-        contributing_cells=contributing,
+        contributing_cells=len(terms),
+        distinct_h=len(h_memo),
     )
+
+
+def _count_cells(
+    h1: CoefficientHandle, smooth_as: np.ndarray, v: int, w: int, x_int: int
+) -> int:
+    """Admissible (a, a_ell) for one v: a, a_ell from the ascending smooth
+    list, coprime to each other and to w, v a a_ell <= x, l1(v a) != 0.
+    Counted per a over the prefix a_ell <= x/(v a), never as a full grid."""
+    count = 0
+    for a in smooth_as.tolist():
+        if h1.values[v * a] == 0.0 or gcd(a, abs(w)) != 1:
+            continue
+        prefix = smooth_as[: np.searchsorted(smooth_as, x_int // (v * a), side="right")]
+        count += int(np.count_nonzero(np.gcd(prefix, a * abs(w)) == 1))
+    return count

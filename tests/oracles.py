@@ -19,9 +19,12 @@ import cmath
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
+from shiftsieve import arith
+from shiftsieve.largesieve import big_h, build_omega, crt_residue
 from shiftsieve.specfun import _bessel_panels, bessel_k_scaled_grid, clgamma, support_prefactor
 
 GLN32, GLW32 = np.polynomial.legendre.leggauss(32)
@@ -477,3 +480,75 @@ def h_value(q: int, sys) -> Fraction:
     if q != 1:
         raise ValueError(f"q has a prime factor outside the sieve prime set: {q}")
     return value
+
+
+def sieve_side_bound_cells(h1, h2, params, ell: int) -> tuple[float, int, int, int]:
+    """(value, vw_pairs, cells, contributing_cells) of the sieve-side bound,
+    cell by cell: a double loop over every coprime pair (a, a_ell) of
+    z-smooth numbers <= y/v, which walks each cell's progression, keeps
+    the members whose cofactors are z-rough and builds a fresh sieve system
+    for every contributing cell.  The reference for
+    `shifted.sieve_side_bound`."""
+    x, z, y, q_par = params.x, params.z, params.y, params.Q
+    if ell == 0 or abs(ell) > x:
+        raise ValueError(f"shift must satisfy 0 < |ell| <= x, got ell={ell}")
+    limit = int(x) + abs(ell)
+    h1.require(limit)
+    h2.require(limit)
+    smooth = arith.smooth_part_table(limit, z)
+    q2 = q_par * q_par
+
+    terms: list[float] = []
+    vw_pairs = 0
+    cells = 0
+    contributing = 0
+    for v in arith.divisors(abs(ell)):
+        w = ell // v
+        vw_pairs += 1
+        y_v = y / v
+        if y_v < 1 or v > x:
+            continue
+        smooth_as = list(arith.smooth_numbers_upto(y_v, z))
+        for a in smooth_as:
+            outer1 = h1.values[v * a]
+            if outer1 == 0.0:
+                continue
+            for a_ell in smooth_as:
+                if gcd(a, a_ell) != 1 or gcd(a * a_ell, abs(w)) != 1:
+                    continue
+                aa = a * a_ell
+                if v * aa > x:
+                    continue
+                cells += 1
+                outer = outer1 * h2.values[v * a_ell]
+                if outer == 0.0:
+                    continue
+                r = crt_residue(a, a_ell, w)
+                m_max = int(math.floor((x / v - r) / aa))
+                if m_max < 0:
+                    continue
+                n_v = aa * np.arange(0, m_max + 1, dtype=np.int64) + r
+                keep = n_v >= 1
+                if w < 0:
+                    keep &= n_v + w >= 1
+                n_v = n_v[keep]
+                if n_v.size == 0:
+                    continue
+                b = n_v // a
+                b_ell = (n_v + w) // a_ell
+                rough = (smooth[b] == 1) & (smooth[b_ell] == 1)
+                if not rough.any():
+                    continue
+                maxfactor = float(
+                    np.max(h1.values[b[rough]] * h2.values[b_ell[rough]])
+                )
+                if maxfactor == 0.0:
+                    continue
+                sys = build_omega(
+                    a, a_ell, w, z, x, v,
+                    p_limit=q_par, m_start=0, n_range=m_max + 1,
+                )
+                bound = (sys.n_range + q2) / float(big_h(q_par, sys))
+                terms.append(outer * maxfactor * bound)
+                contributing += 1
+    return math.fsum(terms), vw_pairs, cells, contributing

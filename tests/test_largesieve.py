@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -120,6 +121,41 @@ class TestHValues:
         sys = ls.build_omega(1, 1, 1, z=3, x=100, v=1)
         h = float(ls.big_h(10, sys))
         assert ls.ls_bound(sys, 10) == pytest.approx((100 + 100) / h)
+
+
+class TestOmegaPrimeSet:
+    """omega(p) = 1 exactly when p | a a_ell w, so H depends on a cell only
+    through that prime set (the memo key of the sieve-side bound)."""
+
+    @staticmethod
+    def _single_class_iff_divides(sys):
+        for p in sys.primes:
+            assert (len(sys.omega[p]) == 1) == ((sys.a * sys.a_ell * sys.w) % p == 0), p
+
+    def test_random_admissible_systems(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            sys, _ = ls.random_admissible_system(rng, n_max=2000)
+            self._single_class_iff_divides(sys)
+
+    def test_negative_shifts(self):
+        for a, a_ell, w in ((1, 1, -15), (3, 1, -7), (1, 5, -21), (7, 11, -39), (2, 9, -35)):
+            self._single_class_iff_divides(ls.build_omega(a, a_ell, w, z=40, x=10**5))
+
+    def test_same_prime_set_same_h(self):
+        q = 40.0
+        by_key = {}
+        smooth = [1, 2, 3, 5, 6, 7, 10, 13, 15, 21, 35]
+        for a in smooth:
+            for a_ell in smooth:
+                for w in (1, -1, 3, -5, 11, -14, 33, -35):
+                    if gcd(a, a_ell) != 1 or gcd(a * a_ell, abs(w)) != 1:
+                        continue
+                    sys = ls.build_omega(a, a_ell, w, z=30, x=10**6, p_limit=q)
+                    key = tuple(p for p in sys.primes if (a * a_ell * w) % p == 0)
+                    by_key.setdefault(key, set()).add(ls.big_h(q, sys))
+        assert all(len(values) == 1 for values in by_key.values())
+        assert len(set().union(*by_key.values())) == len(by_key)
 
 
 class TestSift:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftsieve import arith, shifted as sh
 
-from .oracles import divisor_count, fz_split, s_ell_brute
+from .oracles import divisor_count, fz_split, s_ell_brute, sieve_side_bound_cells
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +224,82 @@ class TestSieveSideBound:
         parts = sh.partition_sums(tau2_1e3, tau2_1e3, params, -2)
         bound = sh.sieve_side_bound(tau2_1e3, tau2_1e3, params, -2)
         assert parts.s_small <= bound.value
+
+
+def _matches_cell_loop(h1, h2, params, ell):
+    """The one-pass bound, after checking it field by field against the
+    cell-by-cell loop it replaced."""
+    bound = sh.sieve_side_bound(h1, h2, params, ell)
+    expected = sieve_side_bound_cells(h1, h2, params, ell)
+    assert (bound.value, bound.vw_pairs, bound.cells, bound.contributing_cells) == expected
+    assert bound.distinct_h <= bound.contributing_cells
+    return bound
+
+
+class TestSieveSideBoundOnePass:
+    @pytest.fixture(scope="class")
+    def handles(self):
+        return {
+            "tau2": sh.tau_handle(2, 6010),
+            "tau3": sh.tau_handle(3, 6010),
+            "one": sh.unit_handle(6010),
+        }
+
+    def test_seeded_sweep(self, handles):
+        rng = random.Random(20261018)
+        for _ in range(12):
+            h1, h2 = rng.choice(list(handles.values())), rng.choice(list(handles.values()))
+            x = rng.randint(1000, 4000)
+            eps = rng.choice((0.3, 0.5, 0.7, 0.9))
+            ell = rng.choice((1, -1, -2, 3, 6, -6))
+            _matches_cell_loop(h1, h2, arith.make_params(x, eps), ell)
+
+    def test_epsilon_at_least_0_9(self, handles):
+        for x, eps, ell in ((5000, 0.9, 1), (4000, 0.95, -6)):
+            params = arith.make_params(x, eps)
+            bound = _matches_cell_loop(handles["tau2"], handles["tau2"], params, ell)
+            # many cells share a prime set, so far fewer H than cells are computed
+            assert bound.distinct_h < bound.contributing_cells
+
+    def test_z_above_limit_shortcut(self, handles):
+        for x, ell in ((3000, 6), (6000, -2), (5000, -1)):
+            params = arith.make_params(x, 0.3)
+            assert params.z >= x + abs(ell)
+            _matches_cell_loop(handles["tau3"], handles["one"], params, ell)
+
+    def test_z_below_two_every_cofactor_rough(self, handles):
+        params = arith.SievingParameters(
+            x=3000.0, epsilon=0.5, s=1.0, z=1.5, y=54.8, Q=7.4, below_paper_threshold=True
+        )
+        for ell in (1, -2, 6):
+            bound = _matches_cell_loop(handles["tau2"], handles["tau2"], params, ell)
+            assert bound.contributing_cells == bound.vw_pairs  # only a = a_ell = 1
+
+    def test_eigenform_handle(self, delta_4k):
+        h = sh.eigenform_handle(delta_4k)
+        for ell in (1, -1, 6):
+            _matches_cell_loop(h, h, arith.make_params(3000, 0.5), ell)
+
+    def test_zero_coefficients(self, handles):
+        params = arith.make_params(4000, 0.7)
+        smooth = arith.smooth_part_table(6010, params.z)
+        plain = handles["tau2"].values
+        # l1(v a) = 0 for a in {2, 3, 10} drops those cells from the count
+        v1 = plain.copy()
+        v1[[2, 3, 10]] = 0.0
+        # l2 vanishes on every z-rough n > 1, so a cell whose members all
+        # have b_ell > 1 has maxfactor 0 and adds no term
+        v2 = plain.copy()
+        v2[(smooth == 1) & (np.arange(6011) > 1)] = 0.0
+        h1 = sh.CoefficientHandle("zeros1", v1)
+        h2 = sh.CoefficientHandle("zeros2", v2)
+        base = sh.sieve_side_bound(handles["tau2"], handles["tau2"], params, 1)
+        first = _matches_cell_loop(h1, handles["tau2"], params, 1)
+        assert first.cells < base.cells
+        second = _matches_cell_loop(handles["tau2"], h2, params, 1)
+        assert second.cells == base.cells
+        assert second.contributing_cells < base.contributing_cells
+        _matches_cell_loop(h1, h2, params, -6)
 
 
 class TestTrends:
