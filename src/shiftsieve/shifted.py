@@ -308,7 +308,12 @@ def sieve_side_bound(
             continue
         hi = math.floor(x / v)
         smooth_as = np.fromiter(arith.smooth_numbers_upto(min(y_v, hi), z), dtype=np.int64)
-        cells += _count_cells(h1, smooth_as, v, w, int(x))
+        for a in smooth_as.tolist():
+            if h1.values[v * a] == 0.0 or gcd(a, abs(w)) != 1:
+                continue
+            # count over the prefix a_ell <= x/(v a), never a full grid
+            prefix = smooth_as[: np.searchsorted(smooth_as, int(x) // (v * a), side="right")]
+            cells += int(np.count_nonzero(np.gcd(prefix, a * abs(w)) == 1))
 
         lo = max(1, 1 - w)
         n = np.arange(lo, hi + 1)
@@ -352,18 +357,3 @@ def sieve_side_bound(
         contributing_cells=len(terms),
         distinct_h=len(h_memo),
     )
-
-
-def _count_cells(
-    h1: CoefficientHandle, smooth_as: np.ndarray, v: int, w: int, x_int: int
-) -> int:
-    """Admissible (a, a_ell) for one v: a, a_ell from the ascending smooth
-    list, coprime to each other and to w, v a a_ell <= x, l1(v a) != 0.
-    Counted per a over the prefix a_ell <= x/(v a), never as a full grid."""
-    count = 0
-    for a in smooth_as.tolist():
-        if h1.values[v * a] == 0.0 or gcd(a, abs(w)) != 1:
-            continue
-        prefix = smooth_as[: np.searchsorted(smooth_as, x_int // (v * a), side="right")]
-        count += int(np.count_nonzero(np.gcd(prefix, a * abs(w)) == 1))
-    return count

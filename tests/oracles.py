@@ -5,12 +5,13 @@ high-precision decimal series for K0, the half-plane lattice unfolding for
 the Eisenstein coefficients, plain trial division for smooth parts,
 brute-force tuple enumeration for tau_m, the schoolbook convolution for
 exact series products, and a walk over the progression itself for the
-sifted count of a residue-class system.  The scalar K-Bessel and zeta loops
-and the four multiplicative-table builders are the slow references for the
-library paths that replaced them.  The last six functions (complex Gamma,
-K_it over an array of orders, the Mellin decay calibration, the contour
-form of the spectral weight, the brute-force S_ell(x) and the single
-large-sieve term h(q)) have no caller outside the tests.
+sifted count of a residue-class system.  The scalar K-Bessel and zeta loops,
+the four multiplicative-table builders and the cell-by-cell sieve-side bound
+(which shares the package's sieve systems and H) are the slow references for
+the library paths that replaced them.  Six functions (complex Gamma, K_it
+over an array of orders, the Mellin decay calibration, the contour form of
+the spectral weight, the brute-force S_ell(x) and the single large-sieve
+term h(q)) have no caller outside the tests.
 """
 
 from __future__ import annotations
