@@ -107,7 +107,9 @@ def _run_eigenform(args: argparse.Namespace) -> int:
     if args.cutoff < 1:
         raise UsageError("cutoff must be >= 1")
     form = qexpansion.eigenform(args.weight, args.cutoff)
-    rows = [[n, str(form.a(n)), form.eigenvalue(n)] for n in range(1, args.cutoff + 1)]
+    coeffs = form.qexp.coeffs
+    lam = form.eigenvalue_array(args.cutoff).tolist()
+    rows = [[n, str(coeffs[n]), lam[n]] for n in range(1, args.cutoff + 1)]
     _write_rows(args, ["n", "a_f", "lambda"], rows)
     return EXIT_OK
 

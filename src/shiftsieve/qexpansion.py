@@ -8,7 +8,6 @@ indices cannot overflow.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from math import gcd, isqrt
@@ -69,6 +68,8 @@ class QExpansion:
         return self.coeffs[0] == 0
 
     def truncate(self, cutoff: int) -> "QExpansion":
+        if cutoff < 0:
+            raise ValueError(f"cutoff must be >= 0, got {cutoff}")
         if cutoff > self.cutoff:
             raise ValueError(f"cannot extend cutoff {self.cutoff} to {cutoff}")
         return QExpansion(self.weight, self.coeffs[: cutoff + 1])
@@ -207,6 +208,8 @@ class EigenForm:
         return arr
 
     def truncate(self, cutoff: int) -> "EigenForm":
+        if cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
         return EigenForm(self.weight, self.qexp.truncate(cutoff))
 
 
@@ -222,11 +225,32 @@ def _scaled_coefficient(a: int, n: int, weight: int) -> float:
     return -value if a < 0 else value
 
 
-@functools.lru_cache(maxsize=1)
-def _shared_delta(cutoff: int) -> QExpansion:
-    """Delta at the last cutoff asked for, shared by the eigenforms of every
-    weight at that cutoff (QExpansion is immutable)."""
-    return delta_qexp(cutoff)
+_largest: dict[int, EigenForm] = {}
+
+
+def _largest_form(weight: int, cutoff: int) -> EigenForm:
+    """The eigenform of a supported weight at cutoff >= 1, served from the
+    largest one of that weight built so far.
+
+    A coefficient a(n) does not depend on the cutoff, so a larger form
+    truncates exactly; a smaller one is rebuilt at this cutoff and replaced.
+    Weights above 12 take Delta from the same memo, and the form itself is
+    returned at an equal cutoff, so its cached eigenvalue array goes with it.
+    """
+    form = _largest.get(weight)
+    if form is not None and form.cutoff >= cutoff:
+        return form if form.cutoff == cutoff else form.truncate(cutoff)
+    if weight == 12:
+        form = EigenForm(12, delta_qexp(cutoff))
+    else:
+        delta = _largest_form(12, cutoff).qexp
+        form = EigenForm(weight, delta.mul(eisenstein_qexp(weight - 12, cutoff)))
+    _largest[weight] = form
+    return form
+
+
+# One exact form per weight stays alive until this is called.
+_largest_form.cache_clear = _largest.clear
 
 
 def eigenform(weight: int, cutoff: int) -> EigenForm:
@@ -234,18 +258,19 @@ def eigenform(weight: int, cutoff: int) -> EigenForm:
 
     Delta for weight 12, Delta * E_{k-12} otherwise; the cusp spaces for
     weights 16, 18, 20, 22, 26 are one-dimensional, so the normalized
-    product is automatically the Hecke eigenform.  Delta is built (and
-    cross-checked) once per cutoff, not once per weight.
+    product is automatically the Hecke eigenform.  Each weight keeps the
+    form at the largest cutoff asked for (see `_largest_form`), so Delta is
+    built and cross-checked once for all six weights, and a cutoff no
+    larger than one already built costs a truncation, not a product.
     """
     if weight not in SUPPORTED_EIGEN_WEIGHTS:
         raise UnsupportedWeightError(
             f"weight {weight} unsupported: cusp space is not one-dimensional "
             f"(supported: {SUPPORTED_EIGEN_WEIGHTS})"
         )
-    delta = _shared_delta(cutoff)
-    if weight == 12:
-        return EigenForm(12, delta)
-    return EigenForm(weight, delta.mul(eisenstein_qexp(weight - 12, cutoff)))
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    return _largest_form(weight, cutoff)
 
 
 @dataclass

@@ -24,6 +24,8 @@ from math import factorial
 
 import numpy as np
 
+from .arith import divisors
+
 __all__ = [
     "PoleError",
     "ToleranceError",
@@ -634,9 +636,7 @@ def a_ell_y(
         raise ValueError("ell must be nonzero")
     aell = abs(ell)
     w = 2.0 * math.pi * aell * y
-    log_ratios = np.array(
-        [math.log(a / (aell // a)) for a in range(1, aell + 1) if aell % a == 0]
-    )
+    log_ratios = np.array([math.log(a / (aell // a)) for a in divisors(aell)])
 
     total = 0.0 + 0.0j
     quiet = 0

@@ -45,3 +45,31 @@ def test_benchmark_traced_names_resolve():
         if not callable(owner):
             missing.append(f"{module_name}.{qualname}")
     assert not missing, missing
+
+
+def test_every_cache_clear_takes_no_arguments(monkeypatch):
+    """The benchmark resets the library between rounds by calling every
+    module-level `cache_clear` with no arguments; each must accept that,
+    and clearing the per-weight eigenform memo makes the next call build
+    Delta again."""
+    cleared = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr, value in vars(module).items():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+                cleared.append(f"{name}.{attr}")
+    assert "shiftsieve.qexpansion._largest_form" in cleared
+
+    from shiftsieve import qexpansion as qe
+
+    builds = []
+    real = qe.delta_qexp
+    monkeypatch.setattr(qe, "delta_qexp", lambda cutoff: builds.append(cutoff) or real(cutoff))
+    qe.eigenform(12, 40)
+    qe.eigenform(18, 40)
+    assert builds == [40]
+    qe._largest_form.cache_clear()
+    qe.eigenform(18, 40)
+    assert builds == [40, 40]
+    qe._largest_form.cache_clear()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftsieve import cli, largesieve, specfun
+from shiftsieve import cli, largesieve, qexpansion, specfun
 
 
 def run(tmp_path, name, args):
@@ -35,6 +35,19 @@ class TestEigenformCommand:
     def test_unsupported_weight(self, tmp_path):
         rc, _ = run(tmp_path, "x.csv", ["eigenform", "--weight", "24", "--cutoff", "10"])
         assert rc == 1
+
+    def test_rows_match_per_n_methods(self, tmp_path):
+        # the table is written from one eigenvalue array; each row must read
+        # as it did when built from form.a(n) and form.eigenvalue(n)
+        for k in qexpansion.SUPPORTED_EIGEN_WEIGHTS:
+            rc, out = run(tmp_path, f"eig{k}.csv",
+                          ["eigenform", "--weight", str(k), "--cutoff", "400"])
+            assert rc == 0
+            form = qexpansion.eigenform(k, 400)
+            expected = ["n,a_f,lambda"] + [
+                f"{n},{form.a(n)},{form.eigenvalue(n):.15g}" for n in range(1, 401)
+            ]
+            assert out.read_text().split("\n")[:-1] == expected
 
     def test_json_format(self, tmp_path):
         rc, out = run(

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,9 @@ from .oracles import divisor_count, mul_trunc_schoolbook
 
 def sigma(n, power):
     return sum(d**power for d in range(1, n + 1) if n % d == 0)
+
+
+ALL_WEIGHTS = qe.SUPPORTED_EIGEN_WEIGHTS
 
 
 def brute_delta_coeffs(limit):
@@ -117,24 +121,107 @@ class TestEigenform:
             return real(cutoff)
 
         monkeypatch.setattr(qe, "delta_qexp", counting)
-        qe._shared_delta.cache_clear()
-        forms = [qe.eigenform(k, 321) for k in (12, 16, 18, 20, 22, 26)]
+        qe._largest_form.cache_clear()
+        forms = [qe.eigenform(k, 321) for k in ALL_WEIGHTS]
         assert builds == [321]
         assert all(f.cutoff == 321 for f in forms)
-        # a second cutoff builds its own Delta, with the right coefficients
+        # a smaller cutoff is served by truncation, with the right coefficients
         g = qe.eigenform(16, 57)
-        assert builds == [321, 57]
+        assert builds == [321]
         delta = brute_delta_coeffs(57)
         e4 = list(qe.eisenstein_qexp(4, 57).coeffs)
         assert list(g.qexp.coeffs) == mul_trunc_schoolbook(delta, e4, 58)
         assert forms[1].qexp.coeffs[:58] == g.qexp.coeffs
-        qe._shared_delta.cache_clear()
+        # a larger one builds Delta once more, and every weight then uses it
+        assert qe.eigenform(16, 400).cutoff == 400
+        assert qe.eigenform(12, 400).cutoff == 400
+        assert builds == [321, 400]
+        qe._largest_form.cache_clear()
 
     def test_truncate(self):
         f = qe.eigenform(12, 100)
         g = f.truncate(10)
         assert g.cutoff == 10
         assert g.qexp.coeffs == f.qexp.coeffs[:11]
+
+    def test_truncate_rejects_negative_cutoff(self):
+        f = qe.eigenform(12, 10)
+        assert f.qexp.truncate(0).coeffs == (0,)
+        for bad in (-1, -3):
+            with pytest.raises(ValueError, match="cutoff must be >= 0"):
+                f.qexp.truncate(bad)
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="cutoff must be >= 1"):
+                f.truncate(bad)
+
+
+def direct_eigenform(weight, cutoff):
+    """The eigenform built from scratch, bypassing the per-weight memo."""
+    delta = qe.delta_qexp(cutoff)
+    if weight == 12:
+        return qe.EigenForm(12, delta)
+    return qe.EigenForm(weight, delta.mul(qe.eisenstein_qexp(weight - 12, cutoff)))
+
+
+class TestLargestFormMemo:
+    """eigenform serves every cutoff of a weight from the largest form of
+    that weight built so far; each served form must equal a fresh build."""
+
+    def setup_method(self):
+        qe._largest_form.cache_clear()
+
+    def teardown_method(self):
+        qe._largest_form.cache_clear()
+
+    def test_truncation_equals_fresh_build(self):
+        big = {k: qe.eigenform(k, 1000) for k in ALL_WEIGHTS}
+        served = {(k, c): qe.eigenform(k, c) for k in ALL_WEIGHTS for c in (57, 321, 1000)}
+        assert all(served[k, 1000] is big[k] for k in ALL_WEIGHTS)
+        for (k, c), form in served.items():
+            qe._largest_form.cache_clear()
+            fresh = qe.eigenform(k, c)
+            assert form.cutoff == c
+            assert form == fresh == direct_eigenform(k, c)
+
+    def test_seeded_request_sequence(self):
+        rng = random.Random(10)
+        for _ in range(40):
+            k, c = rng.choice(ALL_WEIGHTS), rng.randint(1, 600)
+            form = qe.eigenform(k, c)
+            assert form.cutoff == c
+            assert form == direct_eigenform(k, c)
+
+    def test_smaller_build_replaces_nothing_larger(self):
+        qe.eigenform(16, 300)
+        assert qe._largest[16].cutoff == 300 and qe._largest[12].cutoff == 300
+        qe.eigenform(12, 500)
+        qe.eigenform(16, 200)
+        assert qe._largest[16].cutoff == 300 and qe._largest[12].cutoff == 500
+
+    def test_bad_cutoff_same_error_before_and_after_a_build(self):
+        def errors():
+            out = []
+            for k in ALL_WEIGHTS:
+                for bad in (0, -1):
+                    with pytest.raises(ValueError) as info:
+                        qe.eigenform(k, bad)
+                    out.append((type(info.value), str(info.value)))
+            return out
+
+        before = errors()
+        assert all(msg == "cutoff must be >= 1" for _, msg in before)
+        for k in ALL_WEIGHTS:
+            qe.eigenform(k, 800)
+        assert errors() == before
+        assert all(f.cutoff == 800 for f in qe._largest.values())
+
+    def test_eigenvalue_array_bitwise_equals_eigenvalue(self):
+        for k in ALL_WEIGHTS:
+            for form in (qe.eigenform(k, 1500), qe.eigenform(k, 700)):
+                lam = form.eigenvalue_array(form.cutoff).tolist()
+                assert lam[0] == 0.0
+                for n in range(1, form.cutoff + 1):
+                    assert lam[n].hex() == form.eigenvalue(n).hex()
 
 
 class TestEigenvalue:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -426,6 +427,15 @@ class TestAell:
         for ell, y in ((2, 5.0), (10, 1.0)):
             val = abs(sf.a_ell_y(mellin, ell, y, tol=1e-8))
             assert val < 1e-6 * math.sqrt(y)
+
+    def test_large_shift_returns_quickly(self, mellin):
+        # the divisors of |ell| come from its factorization, not a scan of
+        # 1..|ell|, which took over 20 s at |ell| = 10**10
+        for ell in (10**10, -(10**10)):
+            start = time.perf_counter()
+            val = sf.a_ell_y(mellin, ell, 0.3, tol=1e-6)
+            assert time.perf_counter() - start < 5.0
+            assert abs(val) < 1e-20
 
     def test_validation(self, mellin):
         with pytest.raises(ValueError):
