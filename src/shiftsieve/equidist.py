@@ -162,24 +162,18 @@ def ems_sum_check(form: EigenForm, cutoff: int) -> EmsSumReport:
     lhs = fsum((2.0 * np.abs(lam) - 2.0) * inv_p)
     rhs = fsum(lam_p2 * inv_p) - fsum(lam_p2 * lam_p2 * inv_p) / 9.0
 
-    checks = 0
-    failures = 0
-    for p in primes:
-        p = int(p)
-        if p * p > form.cutoff:
-            break
-        checks += 1
-        from_table = form.eigenvalue(p * p)
-        from_recursion = form.eigenvalue(p) ** 2 - 1.0
-        if abs(from_table - from_recursion) > 1e-9 * max(1.0, abs(from_table)):
-            failures += 1
+    table = form.eigenvalue_array(form.cutoff)
+    checked = primes[primes * primes <= form.cutoff]
+    from_table = table[checked * checked]
+    from_recursion = table[checked] ** 2 - 1.0
+    failures = np.abs(from_table - from_recursion) > 1e-9 * np.maximum(1.0, np.abs(from_table))
     return EmsSumReport(
         weight=form.weight,
         cutoff=cutoff,
         lhs_sum=lhs,
         rhs_sum=rhs,
-        crosschecks=checks,
-        crosscheck_failures=failures,
+        crosschecks=len(checked),
+        crosscheck_failures=int(failures.sum()),
     )
 
 

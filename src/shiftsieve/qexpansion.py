@@ -2,13 +2,12 @@
 
 All coefficient arithmetic is exact (arbitrary-precision integers); floats
 only appear in the normalized eigenvalues lambda(n) = a(n) * n**(-(k-1)/2),
-which are computed with the exponent in log domain so large weights and
-indices cannot overflow.
+one read-only float64 array per form: each a(n) is rounded once to the
+nearest float, then scaled by n**(-(k-1)/2) <= 1, so no entry can overflow.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
@@ -34,8 +33,6 @@ SUPPORTED_EIGEN_WEIGHTS = (12, 16, 18, 20, 22, 26)
 
 # Normalizing constants -2k/B_k of the classical Eisenstein series.
 _EISENSTEIN_CONST = {4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
-
-LN2 = math.log(2.0)
 
 
 class UnsupportedWeightError(ValueError):
@@ -164,11 +161,15 @@ def delta_qexp_from_eisenstein(cutoff: int) -> QExpansion:
 
 @dataclass(frozen=True)
 class EigenForm:
-    """Normalized Hecke eigencuspform of level 1: a(1) = 1, exact a(n)."""
+    """Normalized Hecke eigencuspform of level 1: a(1) = 1, exact a(n).
+
+    Every lambda(n) is read from one read-only array over 0..cutoff, built
+    on first use or handed down by `truncate` from the larger form.
+    """
 
     weight: int
     qexp: QExpansion
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _lam: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.qexp.cutoff < 1 or self.qexp.a(1) != 1:
@@ -183,46 +184,33 @@ class EigenForm:
     def a(self, n: int) -> int:
         return self.qexp.a(n)
 
+    def _lambda(self) -> np.ndarray:
+        if self._lam is None:
+            # float(int) rounds correctly and raises OverflowError past the
+            # float range, so with n**(-(k-1)/2) <= 1 every entry is finite
+            n = np.arange(self.cutoff + 1, dtype=float)
+            n[0] = 1.0  # a(0) = 0
+            lam = np.array(self.qexp.coeffs, dtype=float) * np.power(n, -(self.weight - 1) / 2)
+            lam.setflags(write=False)
+            object.__setattr__(self, "_lam", lam)
+        return self._lam
+
     def eigenvalue(self, n: int) -> float:
-        """lambda(n) = a(n) * n**(-(k-1)/2), exponent taken in log domain."""
+        """lambda(n) = a(n) * n**(-(k-1)/2)."""
         if not 1 <= n <= self.cutoff:
             raise IndexError(f"index {n} outside [1, {self.cutoff}]")
-        return _scaled_coefficient(self.a(n), n, self.weight)
+        return float(self._lambda()[n])
 
     def eigenvalue_array(self, limit: int) -> np.ndarray:
         """Signed lambda(n) for n = 0..limit as float64 (index 0 is 0)."""
         if limit > self.cutoff:
             raise ValueError(f"limit {limit} beyond cutoff {self.cutoff}")
-        key = ("eig", limit)
-        if key not in self._cache:
-            arr = np.zeros(limit + 1)
-            for n in range(1, limit + 1):
-                arr[n] = _scaled_coefficient(self.qexp.coeffs[n], n, self.weight)
-            arr.setflags(write=False)
-            self._cache[key] = arr
-        return self._cache[key]
-
-    def abs_eigenvalue_array(self, limit: int) -> np.ndarray:
-        arr = np.abs(self.eigenvalue_array(limit))
-        arr.setflags(write=False)
-        return arr
+        return self._lambda()[: limit + 1]
 
     def truncate(self, cutoff: int) -> "EigenForm":
         if cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-        return EigenForm(self.weight, self.qexp.truncate(cutoff))
-
-
-def _scaled_coefficient(a: int, n: int, weight: int) -> float:
-    """a * n**(-(weight-1)/2) via bit-length + leading-64-bit log of a."""
-    if a == 0:
-        return 0.0
-    mag = -a if a < 0 else a
-    bits = mag.bit_length()
-    shift = bits - 64 if bits > 64 else 0
-    log_a = math.log(mag >> shift) + shift * LN2
-    value = math.exp(log_a - 0.5 * (weight - 1) * math.log(n))
-    return -value if a < 0 else value
+        return EigenForm(self.weight, self.qexp.truncate(cutoff), self._lambda()[: cutoff + 1])
 
 
 _largest: dict[int, EigenForm] = {}
@@ -234,8 +222,8 @@ def _largest_form(weight: int, cutoff: int) -> EigenForm:
 
     A coefficient a(n) does not depend on the cutoff, so a larger form
     truncates exactly; a smaller one is rebuilt at this cutoff and replaced.
-    Weights above 12 take Delta from the same memo, and the form itself is
-    returned at an equal cutoff, so its cached eigenvalue array goes with it.
+    Weights above 12 take Delta from the same memo.  The form itself is
+    returned at an equal cutoff, and a truncation shares its eigenvalue array.
     """
     form = _largest.get(weight)
     if form is not None and form.cutoff >= cutoff:
@@ -317,7 +305,8 @@ def hecke_verify(form: EigenForm, cutoff: int | None = None) -> HeckeReport:
                     report.multiplicativity_violations.append((m, n))
 
     pk = form.weight - 1
-    primes = [int(p) for p in prime_table(limit)]  # Python ints: p**pk is exact
+    table = prime_table(limit)
+    primes = [int(p) for p in table]  # Python ints: p**pk is exact
     for p in primes:
         ppow = p * p
         j = 1
@@ -331,11 +320,8 @@ def hecke_verify(form: EigenForm, cutoff: int | None = None) -> HeckeReport:
             ppow *= p
             j += 1
 
-    for p in primes:
-        report.primes_checked += 1
-        lam = abs(form.eigenvalue(p))
-        if lam > report.max_abs_lambda_p:
-            report.max_abs_lambda_p = lam
-        if lam > 2.0:
-            report.deligne_violations.append(p)
+    lam = np.abs(form.eigenvalue_array(limit)[table])
+    report.primes_checked = len(primes)
+    report.max_abs_lambda_p = float(lam.max(initial=0.0))
+    report.deligne_violations = table[lam > 2.0].tolist()
     return report

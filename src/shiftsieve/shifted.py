@@ -61,7 +61,9 @@ class CoefficientHandle:
 
 def eigenform_handle(form: EigenForm, limit: int | None = None) -> CoefficientHandle:
     limit = form.cutoff if limit is None else limit
-    return CoefficientHandle(f"lambda_k{form.weight}", form.abs_eigenvalue_array(limit))
+    values = np.abs(form.eigenvalue_array(limit))
+    values.setflags(write=False)
+    return CoefficientHandle(f"lambda_k{form.weight}", values)
 
 
 def tau_handle(m: int, limit: int) -> CoefficientHandle:

@@ -5,6 +5,7 @@ import pytest
 
 from shiftsieve import equidist as eq
 from shiftsieve import qexpansion as qe
+from shiftsieve.arith import prime_table
 from shiftsieve.equidist import _sym2_log_factors
 from shiftsieve.specfun import DEFAULT_BUMP
 
@@ -121,6 +122,30 @@ class TestEmsSum:
         chk = eq.ems_prime_check(lam)
         assert rep.lhs_sum == pytest.approx(chk.lhs / 2, rel=1e-12)
         assert rep.rhs_sum == pytest.approx(chk.rhs / 2, rel=1e-12)
+
+    def test_doctored_prime_squares_counted_as_per_prime_loop(self, delta_4k):
+        def failures_by_loop(form, cutoff):
+            checks = failures = 0
+            for p in prime_table(cutoff).tolist():
+                if p * p > form.cutoff:
+                    break
+                checks += 1
+                from_table = form.eigenvalue(p * p)
+                from_recursion = form.eigenvalue(p) ** 2 - 1.0
+                failures += abs(from_table - from_recursion) > 1e-9 * max(1.0, abs(from_table))
+            return checks, failures
+
+        coeffs = list(delta_4k.qexp.coeffs[:2001])
+        for p in (3, 7, 43):  # 43^2 = 1849 is the last prime square below 2000
+            coeffs[p * p] += p**11 // 10**4  # lambda(p^2) off by about 1e-4
+        form = qe.EigenForm(12, qe.QExpansion(12, tuple(coeffs)))
+        for cutoff in (2, 10, 100, 2000):
+            clean = eq.ems_sum_check(delta_4k.truncate(2000), cutoff)
+            rep = eq.ems_sum_check(form, cutoff)
+            assert (rep.crosschecks, rep.crosscheck_failures) == failures_by_loop(form, cutoff)
+            assert rep.crosschecks == clean.crosschecks
+            assert rep.crosscheck_failures - clean.crosscheck_failures == sum(
+                p <= cutoff for p in (3, 7, 43))
 
     def test_integer_level_square_identity(self, delta_4k):
         # a(p^2) = a(p)^2 - p^(k-1), exactly

@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shiftsieve import qexpansion as qe
+from shiftsieve.arith import prime_table
 
 from .oracles import divisor_count, mul_trunc_schoolbook
 
@@ -215,6 +217,16 @@ class TestLargestFormMemo:
         assert errors() == before
         assert all(f.cutoff == 800 for f in qe._largest.values())
 
+    def test_truncated_array_bitwise_equals_fresh_build(self):
+        for k in ALL_WEIGHTS:
+            big = qe.eigenform(k, 1500)
+            for c in (1, 2, 57, 700, 1499):
+                served = qe.eigenform(k, c).eigenvalue_array(c)
+                fresh = direct_eigenform(k, c).eigenvalue_array(c)
+                assert [x.hex() for x in served.tolist()] == [x.hex() for x in fresh.tolist()]
+                # the truncation reads its parent's array, it does not rebuild it
+                assert np.shares_memory(served, big.eigenvalue_array(1500))
+
     def test_eigenvalue_array_bitwise_equals_eigenvalue(self):
         for k in ALL_WEIGHTS:
             for form in (qe.eigenform(k, 1500), qe.eigenform(k, 700)):
@@ -257,6 +269,57 @@ class TestEigenvalue:
             assert arr[n] == delta_4k.eigenvalue(n)
 
 
+def certified_error(form, ns):
+    """max |lam^2 n^(k-1) - a(n)^2| / a(n)^2 over ns, in exact rationals.
+
+    Each float lam(n) is a dyadic rational, so the relative error of its
+    square against the exact a(n)^2 / n^(k-1) is computed with no rounding.
+    """
+    k = form.weight
+    lam = form.eigenvalue_array(form.cutoff).tolist()
+    worst = Fraction(0)
+    for n in ns:
+        a = form.a(n)
+        if a == 0:
+            assert lam[n] == 0.0
+            continue
+        worst = max(worst, abs(Fraction(lam[n]) ** 2 * n ** (k - 1) - a * a) / (a * a))
+    return worst
+
+
+class TestEigenvalueCertificate:
+    """lambda(n)^2 within 8 units of 2^-53 of a(n)^2 / n^(k-1), exactly."""
+
+    BOUND = Fraction(8, 2**53)
+
+    def test_every_n_to_2000(self):
+        for k in ALL_WEIGHTS:
+            assert certified_error(direct_eigenform(k, 2000), range(1, 2001)) <= self.BOUND
+
+    def test_seeded_sample_to_1e5(self, forms_1e5):
+        rng = random.Random(11)
+        for k, form in forms_1e5.items():
+            ns = rng.sample(range(1, 100_001), 2000)
+            assert certified_error(form, ns) <= self.BOUND
+
+    def test_coefficient_past_float_range_raises(self):
+        form = qe.EigenForm(12, qe.QExpansion(12, (0, 1, 10**400)))
+        with pytest.raises(OverflowError):
+            form.eigenvalue(2)
+
+
+def deligne_by_loop(form, limit):
+    """The per-prime Deligne loop: violations, primes checked, max |lambda(p)|."""
+    violations, checked, top = [], 0, 0.0
+    for p in prime_table(limit).tolist():
+        checked += 1
+        lam = abs(form.eigenvalue(p))
+        top = max(top, lam)
+        if lam > 2.0:
+            violations.append(p)
+    return violations, checked, top
+
+
 class TestHeckeVerify:
     def test_delta_millennium(self):
         report = qe.hecke_verify(qe.eigenform(12, 1000))
@@ -268,6 +331,17 @@ class TestHeckeVerify:
         # a(2)^2 = a(4) + 2^11 * a(1)
         assert (-24) ** 2 == delta_4k.a(4) + 2**11 * delta_4k.a(1)
         assert delta_4k.a(4) == -1472
+
+    @pytest.mark.parametrize("limit", [1, 2, 100, 400])
+    def test_deligne_fields_match_per_prime_loop(self, delta_4k, limit):
+        coeffs = list(delta_4k.qexp.coeffs[:401])
+        for p, scale in ((2, -3), (13, 5), (97, 2)):  # |lambda(p)| just below |scale|
+            coeffs[p] = scale * math.isqrt(p**11)
+        form = qe.EigenForm(12, qe.QExpansion(12, tuple(coeffs)))
+        report = qe.hecke_verify(form, limit)
+        fields = (report.deligne_violations, report.primes_checked, report.max_abs_lambda_p)
+        assert fields == deligne_by_loop(form, limit)
+        assert report.deligne_violations == [p for p in (2, 13) if p <= limit]
 
     def test_detects_corruption(self, delta_4k):
         bad = qe.QExpansion(12, delta_4k.qexp.coeffs[:100] + (999,))
