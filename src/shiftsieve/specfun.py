@@ -535,10 +535,8 @@ def varphi_ell(ell: int, s: complex) -> complex:
     if ell < 1:
         raise ValueError("ell must be a positive integer")
     total = 0.0 + 0.0j
-    for a in range(1, ell + 1):
-        if ell % a == 0:
-            b = ell // a
-            total += cmath.exp((complex(s) - 0.5) * math.log(a / b))
+    for a in divisors(ell):
+        total += cmath.exp((complex(s) - 0.5) * math.log(a / (ell // a)))
     return 2.0 * total / theta_s(s)
 
 

@@ -365,6 +365,17 @@ class TestEisensteinFormulas:
         )
         assert sf.varphi_ell(6, s) == pytest.approx(expected, rel=1e-12)
 
+    def test_varphi_ell_large_ell_by_its_divisors(self):
+        # sum over ab = ell of (a/b)^{s-1/2} = ell^{1/2-s} sigma_{2s-1}(ell), and
+        # sigma_c(2^10 5^10) is a product of two geometric sums
+        s = complex(2.0, 1.0)
+        c = 2 * s - 1
+        sigma = math.prod((p ** (11 * c) - 1) / (p**c - 1) for p in (2, 5))
+        start = time.perf_counter()
+        value = sf.varphi_ell(10**10, s)
+        assert time.perf_counter() - start < 1.0
+        assert value == pytest.approx(2.0 / sf.theta_s(s) * 1e10 ** (0.5 - s) * sigma, rel=1e-10)
+
     def test_pole_guards(self):
         with pytest.raises(sf.PoleError):
             sf.theta_s(0.5)
