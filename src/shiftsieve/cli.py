@@ -165,12 +165,42 @@ def _run_mk(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _bound_ratio(args: argparse.Namespace, point: str, ratio) -> float:
+    """ratio(A, eps), the bound_ratio at --A and --eps, which raises
+    OverflowError where the bound it divides by leaves the float range.
+
+    There it is a usage error naming the option at fault: the point if the
+    default exponents fail too, else --A if it fails at the default --eps,
+    else --eps.
+    """
+    def computed(a_exp: int, eps: float) -> float | None:
+        try:
+            value = ratio(a_exp, eps)
+        except OverflowError:
+            return None
+        return value if math.isfinite(value) else None
+
+    value = computed(args.A, args.eps)
+    if value is not None:
+        return value
+    a_default, eps_default = args.exponent_defaults
+    if computed(a_default, eps_default) is None:
+        fault = point
+    elif computed(args.A, eps_default) is None:
+        fault = f"--A {args.A}"
+    else:
+        fault = f"--eps {args.eps}"
+    raise UsageError(f"{fault} puts bound_ratio outside the float range")
+
+
 def _run_bessel(args: argparse.Namespace) -> int:
     rows = []
     for t in args.t:
         for w in args.w:
-            check = specfun.bessel_bound_check(t, w, A=args.A, eps=args.eps)
-            rows.append([t, w, specfun.bessel_k_it(t, w), check.ratio])
+            def ratio(a_exp: int, eps: float) -> float:
+                return specfun.bessel_bound_check(t, w, A=a_exp, eps=eps).ratio
+
+            rows.append([t, w, specfun.bessel_k_it(t, w), _bound_ratio(args, f"--w {w}", ratio)])
     _write_rows(args, ["t", "w", "value", "bound_ratio"], rows)
     return EXIT_OK
 
@@ -219,13 +249,15 @@ def _run_aell(args: argparse.Namespace) -> int:
         for y_val in args.y:
             val = specfun.a_ell_y(mellin, ell, y_val, tol=1e-6).real
             scale = 1.0 / (abs(ell) * y_val)
-            denom = (
-                arith.tau(abs(ell))
-                * math.sqrt(y_val)
-                * scale**args.A
-                * (1.0 + scale) ** args.eps
-            )
-            rows.append([ell, y_val, val, abs(val) / denom])
+            prefactor = arith.tau(abs(ell)) * math.sqrt(y_val)
+
+            def ratio(a_exp: int, eps: float) -> float:
+                denom = prefactor * scale**a_exp * (1.0 + scale) ** eps
+                if not 0.0 < denom < math.inf:
+                    raise OverflowError
+                return abs(val) / denom
+
+            rows.append([ell, y_val, val, _bound_ratio(args, f"--y {y_val}", ratio)])
     _write_rows(args, ["ell", "y", "value", "bound_ratio"], rows)
     return EXIT_OK
 
@@ -244,6 +276,7 @@ def _bound_exponents(parser: _Parser, a_exp: int, eps: float) -> None:
     """--A and --eps, the exponents of the bound that bound_ratio divides by."""
     parser.add_argument("--A", type=int, default=a_exp, help="(default %(default)s)")
     parser.add_argument("--eps", type=_finite, default=eps, help="(default %(default)s)")
+    parser.set_defaults(exponent_defaults=(a_exp, eps))
 
 
 @functools.cache

@@ -329,8 +329,9 @@ def bessel_k_scaled_grid(ts: np.ndarray, w: float) -> np.ndarray:
     out = np.empty_like(t)
     quadrature = np.ones(t.size, dtype=bool)
     # the expansion is tried only where sqrt(t^2 - w^2) > 1, which keeps
-    # p = t / sqrt(t^2 - w^2) and its powers finite
-    tried = np.flatnonzero((t - w) * (t + w) > 1.0)
+    # p = t / sqrt(t^2 - w^2) and its powers finite; t - w > 1/(t + w)
+    # says so without squaring, which would overflow for w near 1e154
+    tried = np.flatnonzero(t - w > 1.0 / (t + w))
     if tried.size:
         value, omitted = _debye_scaled(t[tried], w)
         debye = tried[omitted < _DEBYE_TOL]
@@ -485,12 +486,15 @@ class BesselBoundCheck:
 
 
 def bessel_bound_check(t: float, w: float, A: int = 0, eps: float = 0.0) -> BesselBoundCheck:
-    """Ratio of |K_it(w)| to |Gamma(1/2+it)| ((1+|t|)/w)^A (1+(1+|t|)/w)^eps."""
+    """Ratio of |K_it(w)| to |Gamma(1/2+it)| ((1+|t|)/w)^A (1+(1+|t|)/w)^eps;
+    OverflowError if that bound is 0 or infinite in floating point."""
     if A < 0:
         raise ValueError("A must be a nonnegative integer")
     k = abs(bessel_k_it(t, w))
     scale = (1.0 + abs(t)) / w
     denom = gamma_half_plus_it_abs(t) * scale**A * (1.0 + scale) ** eps
+    if not 0.0 < denom < math.inf:
+        raise OverflowError(f"bound {denom} outside the float range")
     return BesselBoundCheck(t, w, A, eps, k / denom)
 
 

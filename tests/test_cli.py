@@ -252,6 +252,19 @@ class TestBoundary:
         text = capsys.readouterr().out
         assert "--y" in text and "--t" not in text
 
+    @pytest.mark.parametrize("args, option", [
+        (["aell", "--ell", "1", "--y", "1e-300"], "--y"),
+        (["aell", "--ell", "1", "--y", "0.3", "--A", "100000"], "--A"),
+        (["aell", "--ell", "1", "--y", "0.3", "--eps", "1e308"], "--eps"),
+        (["bessel", "--t", "1", "--w", "1e-300", "--A", "100000"], "--A"),
+        (["aell", "--ell", "1", "--y", "1e300"], "--y"),
+    ], ids=["aell-tiny-y", "aell-huge-A", "aell-huge-eps", "bessel-huge-A", "aell-huge-y"])
+    def test_bound_outside_float_range_names_its_option(self, tmp_path, capsys, args, option):
+        rc, out = run(tmp_path, "rej.csv", ["specfun"] + args)
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {option} ")
+
     @pytest.mark.parametrize("exc", [specfun.ToleranceError("tail"), OverflowError("big"),
                                      ArithmeticError("guard"), MemoryError(),
                                      MemoryError("Unable to allocate 7.28 TiB")])
