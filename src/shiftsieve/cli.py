@@ -165,28 +165,28 @@ def _run_mk(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bound_ratio(args: argparse.Namespace, point: str, ratio) -> float:
-    """ratio(A, eps), the bound_ratio at --A and --eps, which raises
-    OverflowError where the bound it divides by leaves the float range.
+def _bound_ratio(args: argparse.Namespace, value: float, prefactor: float, scale: float,
+                 point: str) -> float:
+    """|value| / (prefactor * scale^A * (1 + scale)^eps) at --A and --eps.
 
-    There it is a usage error naming the option at fault: the point if the
-    default exponents fail too, else --A if it fails at the default --eps,
-    else --eps.
+    A bound of 0 or infinity in floating point is a usage error naming the
+    option at fault: the point if the default exponents fail there too,
+    else --A if it fails at the default --eps, else --eps.
     """
-    def computed(a_exp: int, eps: float) -> float | None:
+    def ratio(a_exp: int, eps: float) -> float:  # nan where the bound fails
         try:
-            value = ratio(a_exp, eps)
+            denom = prefactor * scale**a_exp * (1.0 + scale) ** eps
         except OverflowError:
-            return None
-        return value if math.isfinite(value) else None
+            return math.nan
+        return abs(value) / denom if 0.0 < denom < math.inf else math.nan
 
-    value = computed(args.A, args.eps)
-    if value is not None:
-        return value
+    result = ratio(args.A, args.eps)
+    if math.isfinite(result):
+        return result
     a_default, eps_default = args.exponent_defaults
-    if computed(a_default, eps_default) is None:
+    if not math.isfinite(ratio(a_default, eps_default)):
         fault = point
-    elif computed(args.A, eps_default) is None:
+    elif not math.isfinite(ratio(args.A, eps_default)):
         fault = f"--A {args.A}"
     else:
         fault = f"--eps {args.eps}"
@@ -194,13 +194,14 @@ def _bound_ratio(args: argparse.Namespace, point: str, ratio) -> float:
 
 
 def _run_bessel(args: argparse.Namespace) -> int:
+    if args.A < 0:
+        raise UsageError("A must be a nonnegative integer")
     rows = []
     for t in args.t:
         for w in args.w:
-            def ratio(a_exp: int, eps: float) -> float:
-                return specfun.bessel_bound_check(t, w, A=a_exp, eps=eps).ratio
-
-            rows.append([t, w, specfun.bessel_k_it(t, w), _bound_ratio(args, f"--w {w}", ratio)])
+            k = specfun.bessel_k_it(t, w)
+            gamma = specfun.gamma_half_plus_it_abs(t)
+            rows.append([t, w, k, _bound_ratio(args, k, gamma, (1.0 + abs(t)) / w, f"--w {w}")])
     _write_rows(args, ["t", "w", "value", "bound_ratio"], rows)
     return EXIT_OK
 
@@ -248,16 +249,9 @@ def _run_aell(args: argparse.Namespace) -> int:
     for ell in args.ell:
         for y_val in args.y:
             val = specfun.a_ell_y(mellin, ell, y_val, tol=1e-6).real
-            scale = 1.0 / (abs(ell) * y_val)
             prefactor = arith.tau(abs(ell)) * math.sqrt(y_val)
-
-            def ratio(a_exp: int, eps: float) -> float:
-                denom = prefactor * scale**a_exp * (1.0 + scale) ** eps
-                if not 0.0 < denom < math.inf:
-                    raise OverflowError
-                return abs(val) / denom
-
-            rows.append([ell, y_val, val, _bound_ratio(args, f"--y {y_val}", ratio)])
+            scale = 1.0 / (abs(ell) * y_val)
+            rows.append([ell, y_val, val, _bound_ratio(args, val, prefactor, scale, f"--y {y_val}")])
     _write_rows(args, ["ell", "y", "value", "bound_ratio"], rows)
     return EXIT_OK
 

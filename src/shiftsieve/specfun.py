@@ -37,9 +37,6 @@ __all__ = [
     "bessel_k_it",
     "bessel_k_scaled",
     "bessel_k_scaled_grid",
-    "bessel_bound_check",
-    "BesselBoundCheck",
-    "BESSEL_ENVELOPE",
     "theta_s",
     "varphi_s",
     "varphi_ell",
@@ -54,10 +51,6 @@ __all__ = [
 
 LN2PI = math.log(2.0 * math.pi)
 BESSEL_ORDER_MAX = 50.0
-
-# Empirical envelope for |K_it(w)| against the Gamma-normalized decay factor
-# on the documented (t, w, A) grid; recorded from a reference run, not derived.
-BESSEL_ENVELOPE = 2.0
 
 
 class PoleError(ValueError):
@@ -469,33 +462,6 @@ def _quadrature_scaled(t: np.ndarray, w: float) -> np.ndarray:
 def bessel_k_scaled(t: float, w: float) -> float:
     """exp(pi t / 2) K_{it}(w) for one order: `bessel_k_scaled_grid` at t."""
     return float(bessel_k_scaled_grid(np.array([float(t)]), w)[0])
-
-
-@dataclass(frozen=True)
-class BesselBoundCheck:
-    t: float
-    w: float
-    A: int
-    eps: float
-    ratio: float
-    envelope: float = BESSEL_ENVELOPE
-
-    @property
-    def holds(self) -> bool:
-        return self.ratio <= self.envelope
-
-
-def bessel_bound_check(t: float, w: float, A: int = 0, eps: float = 0.0) -> BesselBoundCheck:
-    """Ratio of |K_it(w)| to |Gamma(1/2+it)| ((1+|t|)/w)^A (1+(1+|t|)/w)^eps;
-    OverflowError if that bound is 0 or infinite in floating point."""
-    if A < 0:
-        raise ValueError("A must be a nonnegative integer")
-    k = abs(bessel_k_it(t, w))
-    scale = (1.0 + abs(t)) / w
-    denom = gamma_half_plus_it_abs(t) * scale**A * (1.0 + scale) ** eps
-    if not 0.0 < denom < math.inf:
-        raise OverflowError(f"bound {denom} outside the float range")
-    return BesselBoundCheck(t, w, A, eps, k / denom)
 
 
 # ---------------------------------------------------------------------------
