@@ -306,7 +306,7 @@ def hecke_verify(form: EigenForm, cutoff: int | None = None) -> HeckeReport:
 
     pk = form.weight - 1
     table = prime_table(limit)
-    primes = [int(p) for p in table]  # Python ints: p**pk is exact
+    primes = table.tolist()  # Python ints: p**pk is exact
     for p in primes:
         ppow = p * p
         j = 1
