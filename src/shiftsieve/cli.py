@@ -165,28 +165,16 @@ def _run_mk(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bound_ratio(args: argparse.Namespace, value: float, prefactor: float, scale: float,
-                 point: str) -> float:
-    """|value| / (prefactor * scale^A * (1 + scale)^eps) at --A and --eps.
-
-    A bound of 0 or infinity in floating point is a usage error naming the
-    option at fault: the point if the default exponents fail there too,
-    else --A if it fails at the default --eps, else --eps.
-    """
-    def ratio(a_exp: int, eps: float) -> float:  # nan where the bound fails
-        try:
-            denom = prefactor * scale**a_exp * (1.0 + scale) ** eps
-        except OverflowError:
-            return math.nan
-        return abs(value) / denom if 0.0 < denom < math.inf else math.nan
-
+def _checked_ratio(args: argparse.Namespace, ratio, point: str) -> float:
+    """ratio(--A, --eps); a nan there is a usage error naming the point if the default
+    exponents fail there too, else --A if it fails at the default --eps, else --eps."""
     result = ratio(args.A, args.eps)
-    if math.isfinite(result):
+    if not math.isnan(result):
         return result
     a_default, eps_default = args.exponent_defaults
-    if not math.isfinite(ratio(a_default, eps_default)):
+    if math.isnan(ratio(a_default, eps_default)):
         fault = point
-    elif not math.isfinite(ratio(args.A, eps_default)):
+    elif math.isnan(ratio(args.A, eps_default)):
         fault = f"--A {args.A}"
     else:
         fault = f"--eps {args.eps}"
@@ -194,14 +182,12 @@ def _bound_ratio(args: argparse.Namespace, value: float, prefactor: float, scale
 
 
 def _run_bessel(args: argparse.Namespace) -> int:
-    if args.A < 0:
-        raise UsageError("A must be a nonnegative integer")
     rows = []
     for t in args.t:
         for w in args.w:
-            k = specfun.bessel_k_it(t, w)
-            gamma = specfun.gamma_half_plus_it_abs(t)
-            rows.append([t, w, k, _bound_ratio(args, k, gamma, (1.0 + abs(t)) / w, f"--w {w}")])
+            check = functools.partial(specfun.bessel_bound_check, t, w)
+            ratio = _checked_ratio(args, lambda a, e: check(A=a, eps=e).ratio, f"--w {w}")
+            rows.append([t, w, specfun.bessel_k_it(t, w), ratio])
     _write_rows(args, ["t", "w", "value", "bound_ratio"], rows)
     return EXIT_OK
 
@@ -249,9 +235,10 @@ def _run_aell(args: argparse.Namespace) -> int:
     for ell in args.ell:
         for y_val in args.y:
             val = specfun.a_ell_y(mellin, ell, y_val, tol=1e-6).real
-            prefactor = arith.tau(abs(ell)) * math.sqrt(y_val)
-            scale = 1.0 / (abs(ell) * y_val)
-            rows.append([ell, y_val, val, _bound_ratio(args, val, prefactor, scale, f"--y {y_val}")])
+            ratio = functools.partial(
+                specfun.bound_ratio, val, arith.tau(abs(ell)) * math.sqrt(y_val), 1.0 / (abs(ell) * y_val)
+            )
+            rows.append([ell, y_val, val, _checked_ratio(args, ratio, f"--y {y_val}")])
     _write_rows(args, ["ell", "y", "value", "bound_ratio"], rows)
     return EXIT_OK
 
@@ -270,7 +257,7 @@ def _bound_exponents(parser: _Parser, a_exp: int, eps: float) -> None:
     """--A and --eps, the exponents of the bound that bound_ratio divides by."""
     parser.add_argument("--A", type=int, default=a_exp, help="(default %(default)s)")
     parser.add_argument("--eps", type=_finite, default=eps, help="(default %(default)s)")
-    parser.set_defaults(exponent_defaults=(a_exp, eps))
+    parser.set_defaults(exponent_defaults=(a_exp, eps))  # for _checked_ratio's fault
 
 
 @functools.cache

@@ -161,11 +161,8 @@ def delta_qexp_from_eisenstein(cutoff: int) -> QExpansion:
 
 @dataclass(frozen=True)
 class EigenForm:
-    """Normalized Hecke eigencuspform of level 1: a(1) = 1, exact a(n).
-
-    Every lambda(n) is read from one read-only array over 0..cutoff, built
-    on first use or handed down by `truncate` from the larger form.
-    """
+    """Normalized Hecke eigencuspform of level 1: a(1) = 1, exact a(n), and
+    every lambda(n) in one read-only array, built once and sliced by `truncate`."""
 
     weight: int
     qexp: QExpansion
@@ -210,7 +207,8 @@ class EigenForm:
     def truncate(self, cutoff: int) -> "EigenForm":
         if cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-        return EigenForm(self.weight, self.qexp.truncate(cutoff), self._lambda()[: cutoff + 1])
+        lam = None if self._lam is None else self._lam[: cutoff + 1]  # builds no array
+        return EigenForm(self.weight, self.qexp.truncate(cutoff), lam)
 
 
 _largest: dict[int, EigenForm] = {}

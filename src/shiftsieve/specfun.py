@@ -37,6 +37,10 @@ __all__ = [
     "bessel_k_it",
     "bessel_k_scaled",
     "bessel_k_scaled_grid",
+    "bound_ratio",
+    "bessel_bound_check",
+    "BesselBoundCheck",
+    "BESSEL_ENVELOPE",
     "theta_s",
     "varphi_s",
     "varphi_ell",
@@ -51,6 +55,10 @@ __all__ = [
 
 LN2PI = math.log(2.0 * math.pi)
 BESSEL_ORDER_MAX = 50.0
+
+# Empirical envelope for |K_it(w)| against the Gamma-normalized decay factor
+# on the documented (t, w, A) grid; recorded from a reference run, not derived.
+BESSEL_ENVELOPE = 2.0
 
 
 class PoleError(ValueError):
@@ -462,6 +470,37 @@ def _quadrature_scaled(t: np.ndarray, w: float) -> np.ndarray:
 def bessel_k_scaled(t: float, w: float) -> float:
     """exp(pi t / 2) K_{it}(w) for one order: `bessel_k_scaled_grid` at t."""
     return float(bessel_k_scaled_grid(np.array([float(t)]), w)[0])
+
+
+def bound_ratio(value: float, prefactor: float, scale: float, A: int, eps: float) -> float:
+    """|value| / (prefactor scale^A (1 + scale)^eps); nan where that bound is 0 or inf."""
+    try:
+        denom = prefactor * scale**A * (1.0 + scale) ** eps
+    except OverflowError:
+        return math.nan
+    return abs(value) / denom if 0.0 < denom < math.inf else math.nan
+
+
+@dataclass(frozen=True)
+class BesselBoundCheck:
+    t: float
+    w: float
+    A: int
+    eps: float
+    ratio: float
+    envelope: float = BESSEL_ENVELOPE
+
+    @property
+    def holds(self) -> bool:
+        return self.ratio <= self.envelope
+
+
+def bessel_bound_check(t: float, w: float, A: int = 0, eps: float = 0.0) -> BesselBoundCheck:
+    """Ratio of |K_it(w)| to |Gamma(1/2+it)| ((1+|t|)/w)^A (1+(1+|t|)/w)^eps."""
+    if A < 0:
+        raise ValueError("A must be a nonnegative integer")
+    ratio = bound_ratio(bessel_k_it(t, w), gamma_half_plus_it_abs(t), (1.0 + abs(t)) / w, A, eps)
+    return BesselBoundCheck(t, w, A, eps, ratio)
 
 
 # ---------------------------------------------------------------------------

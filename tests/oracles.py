@@ -8,18 +8,16 @@ exact series products, and a walk over the progression itself for the
 sifted count of a residue-class system.  The scalar K-Bessel and zeta loops,
 the four multiplicative-table builders and the cell-by-cell sieve-side bound
 (which shares the package's sieve systems and H) are the slow references for
-the library paths that replaced them.  Seven functions (complex Gamma, K_it
-over an array of orders, the K_it bound check, the Mellin decay
-calibration, the contour form of the spectral weight, the brute-force
-S_ell(x) and the single large-sieve term h(q)) have no caller outside the
-tests.
+the library paths that replaced them.  Six functions (complex Gamma, K_it
+over an array of orders, the Mellin decay calibration, the contour form of
+the spectral weight, the brute-force S_ell(x) and the single large-sieve
+term h(q)) have no caller outside the tests.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import gcd
@@ -28,14 +26,7 @@ import numpy as np
 
 from shiftsieve import arith
 from shiftsieve.largesieve import big_h, build_omega, crt_residue
-from shiftsieve.specfun import (
-    _bessel_panels,
-    bessel_k_it,
-    bessel_k_scaled_grid,
-    clgamma,
-    gamma_half_plus_it_abs,
-    support_prefactor,
-)
+from shiftsieve.specfun import _bessel_panels, bessel_k_scaled_grid, clgamma, support_prefactor
 
 GLN32, GLW32 = np.polynomial.legendre.leggauss(32)
 GLN8, GLW8 = np.polynomial.legendre.leggauss(8)
@@ -406,35 +397,6 @@ def bessel_k_it_grid(ts: np.ndarray, w: float) -> np.ndarray:
         damp = weights * np.exp(-w * np.cosh(nodes))
         out[small] = np.cos(np.outer(ts[small], nodes)) @ damp
     return out
-
-
-# Empirical envelope for |K_it(w)| against the Gamma-normalized decay factor
-# on the documented (t, w, A) grid; recorded from a reference run, not derived.
-BESSEL_ENVELOPE = 2.0
-
-
-@dataclass(frozen=True)
-class BesselBoundCheck:
-    t: float
-    w: float
-    A: int
-    eps: float
-    ratio: float
-    envelope: float = BESSEL_ENVELOPE
-
-    @property
-    def holds(self) -> bool:
-        return self.ratio <= self.envelope
-
-
-def bessel_bound_check(t: float, w: float, A: int = 0, eps: float = 0.0) -> BesselBoundCheck:
-    """Ratio of |K_it(w)| to |Gamma(1/2+it)| ((1+|t|)/w)^A (1+(1+|t|)/w)^eps."""
-    if A < 0:
-        raise ValueError("A must be a nonnegative integer")
-    k = abs(bessel_k_it(t, w))
-    scale = (1.0 + abs(t)) / w
-    denom = gamma_half_plus_it_abs(t) * scale**A * (1.0 + scale) ** eps
-    return BesselBoundCheck(t, w, A, eps, k / denom)
 
 
 def mellin_decay_constant(mellin, a_exp: int, sigmas, ts) -> float:

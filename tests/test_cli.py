@@ -149,6 +149,27 @@ class TestSpecfunCommand:
         assert rc == 0
         assert len(out.read_text().strip().split("\n")) == 5
 
+    def test_bessel_bound_ratio_is_the_library_check(self, tmp_path):
+        rc, out = run(tmp_path, "b.csv", ["specfun", "bessel", "--t", "0,1,5",
+                                          "--w", "0.1,1,10", "--A", "2", "--eps", "0.1"])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().split()[1:]]
+        assert len(rows) == 9
+        for t, w, _, ratio in rows:
+            check = specfun.bessel_bound_check(float(t), float(w), A=2, eps=0.1)
+            assert check.holds and float(ratio) == pytest.approx(check.ratio, rel=1e-14)
+
+    def test_aell_bound_ratio_at_A_and_eps(self, tmp_path):
+        rc, out = run(tmp_path, "a.csv", ["specfun", "aell", "--ell", "1,6", "--y", "0.3",
+                                          "--A", "2", "--eps", "0.3"])
+        assert rc == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().split()[1:]]
+        assert len(rows) == 2
+        for (ell, y, value, ratio), tau in zip(rows, (1, 4)):
+            scale = 1.0 / (ell * y)
+            bound = tau * y**0.5 * scale**2 * (1.0 + scale) ** 0.3
+            assert ratio == pytest.approx(abs(value) / bound, rel=1e-13)
+
     def test_empty_grid_flags_usage_error(self, tmp_path):
         rc, _ = run(tmp_path, "none.csv", ["specfun", "bessel"])
         assert rc == 1

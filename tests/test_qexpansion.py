@@ -218,14 +218,21 @@ class TestLargestFormMemo:
         assert all(f.cutoff == 800 for f in qe._largest.values())
 
     def test_truncated_array_bitwise_equals_fresh_build(self):
+        def hexes(arr):
+            return [x.hex() for x in arr.tolist()]
+
         for k in ALL_WEIGHTS:
             big = qe.eigenform(k, 1500)
+            early = qe.eigenform(k, 700).eigenvalue_array(700)
+            # a truncation taken before the parent's array exists builds its own
+            assert big._lam is None
+            whole = big.eigenvalue_array(1500)
+            assert hexes(early) == hexes(whole[:701])
             for c in (1, 2, 57, 700, 1499):
                 served = qe.eigenform(k, c).eigenvalue_array(c)
-                fresh = direct_eigenform(k, c).eigenvalue_array(c)
-                assert [x.hex() for x in served.tolist()] == [x.hex() for x in fresh.tolist()]
-                # the truncation reads its parent's array, it does not rebuild it
-                assert np.shares_memory(served, big.eigenvalue_array(1500))
+                assert hexes(served) == hexes(direct_eigenform(k, c).eigenvalue_array(c))
+                # one taken after it reads the parent's array, it does not rebuild it
+                assert np.shares_memory(served, whole)
 
     def test_eigenvalue_array_bitwise_equals_eigenvalue(self):
         for k in ALL_WEIGHTS:
