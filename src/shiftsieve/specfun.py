@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -599,6 +601,9 @@ def _aell_blocks(mellin: MellinTransform):
     midpoint nodes t_j of `mellin`, and the head sum_{m<n} m^{-1}
     exp(-2it log m) of zeta(1 + 2it) plus its Euler-Maclaurin remainder, with
     one term count n per block: the one `zeta` takes at the largest node.
+    `a_ell_y` reads these blocks through `_aell_profile`, whose table keeps,
+    per transform, each block's nodes, weights and Psi times the Eisenstein
+    kernel until `_aell_profile.cache_clear()`.
     """
     width = _AELL_BLOCK / _AELL_PANELS
     offsets = _gauss_legendre(np.array([0.0, width]), _GL16)[0].ravel()
@@ -617,6 +622,41 @@ def _aell_blocks(mellin: MellinTransform):
         lo += _AELL_BLOCK
 
 
+_aell_profiles: dict[MellinTransform, tuple[list, Iterator]] = {}
+
+
+def _aell_profile(mellin: MellinTransform) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The blocks of `_aell_blocks(mellin)` as (ts, wt, profile), with profile
+    = Psi(-1/2 - it) * `_eisenstein_kernel`: the part of the a_ell_y integrand
+    that depends on neither ell nor y.
+
+    The blocks come from one table per transform, keyed on the transform
+    (equal bump and node count share one), grown from one `_aell_blocks`
+    generator as far as any caller has read and kept until
+    `_aell_profile.cache_clear()`.  Each iterator reads the table by index,
+    so iterators live at the same time each see every block in order.
+    """
+    if mellin not in _aell_profiles:
+        _aell_profiles[mellin] = ([], _aell_blocks(mellin))
+    done, source = _aell_profiles[mellin]
+    for k in itertools.count():
+        if k == len(done):
+            try:
+                block = next(source, None)
+            except BaseException:  # a table cut short would read as the end of the range
+                _aell_profiles.pop(mellin, None)
+                raise
+            if block is None:
+                return
+            ts, wt, psi, zeta_1_2it = block
+            done.append((ts, wt, psi * _eisenstein_kernel(ts, zeta_1_2it)))
+        yield done[k]
+
+
+# The t-profile of each transform used stays alive until this is called.
+_aell_profile.cache_clear = _aell_profiles.clear
+
+
 def a_ell_y(
     mellin: MellinTransform,
     ell: int,
@@ -630,7 +670,11 @@ def a_ell_y(
         * sum_{ab=|ell|} (a/b)^{it} * K_{it}(2 pi |ell| y) dt,
     summed over t-blocks of width 4 (`_aell_blocks`) and truncated once two
     consecutive blocks fall below the tolerance (the Mellin transform of the
-    bump decays like exp(-c sqrt|t|), which dictates the range).
+    bump decays like exp(-c sqrt|t|), which dictates the range).  Everything
+    but the Bessel values and the divisor sum is read from the process-wide
+    table of `_aell_profile`, keyed on `mellin` and emptied by
+    `_aell_profile.cache_clear()`: a process builds each block's profile
+    once per bump, for the first point that reads that far.
     K_{it}/Gamma(1/2+it) is evaluated through the scaled Bessel values of
     `bessel_k_scaled_grid`, so large orders stay numerically clean; past
     the Debye switch they cost a formula, not a quadrature.  The integrand
@@ -647,11 +691,10 @@ def a_ell_y(
 
     total = 0.0 + 0.0j
     quiet = 0
-    for k, (ts, wt, psi, zeta_1_2it) in enumerate(_aell_blocks(mellin)):
+    for k, (ts, wt, profile) in enumerate(_aell_profile(mellin)):
         kvals = bessel_k_scaled_grid(ts, w)
-        kernel = _eisenstein_kernel(ts, zeta_1_2it)
         dsum = np.exp(1j * np.outer(ts, log_ratios)).sum(axis=1)
-        contrib = complex(np.dot(wt, psi * kernel * dsum * kvals))
+        contrib = complex(np.dot(wt, profile * dsum * kvals))
         total += contrib
         if abs(contrib) < tol / 8.0:
             quiet += 1

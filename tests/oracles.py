@@ -6,9 +6,10 @@ the Eisenstein coefficients, plain trial division for smooth parts,
 brute-force tuple enumeration for tau_m, the schoolbook convolution for
 exact series products, and a walk over the progression itself for the
 sifted count of a residue-class system.  The scalar K-Bessel and zeta loops,
-the four multiplicative-table builders and the cell-by-cell sieve-side bound
-(which shares the package's sieve systems and H) are the slow references for
-the library paths that replaced them.  Six functions (complex Gamma, K_it
+the per-call Eisenstein coefficient loop, the four multiplicative-table
+builders and the cell-by-cell sieve-side bound (which shares the package's
+sieve systems and H) are the slow references for the library paths that
+replaced them.  Six functions (complex Gamma, K_it
 over an array of orders, the Mellin decay calibration, the contour form of
 the spectral weight, the brute-force S_ell(x) and the single large-sieve
 term h(q)) have no caller outside the tests.
@@ -26,7 +27,16 @@ import numpy as np
 
 from shiftsieve import arith
 from shiftsieve.largesieve import big_h, build_omega, crt_residue
-from shiftsieve.specfun import _bessel_panels, bessel_k_scaled_grid, clgamma, support_prefactor
+from shiftsieve.specfun import (
+    ToleranceError,
+    _AELL_T_CAP,
+    _aell_blocks,
+    _bessel_panels,
+    _eisenstein_kernel,
+    bessel_k_scaled_grid,
+    clgamma,
+    support_prefactor,
+)
 
 GLN32, GLW32 = np.polynomial.legendre.leggauss(32)
 GLN8, GLW8 = np.polynomial.legendre.leggauss(8)
@@ -179,6 +189,33 @@ def aell_unfold(ell: int, y: float, bump) -> float:
         total += ramanujan_sum(ell, c) * integral
         c += 1
     return total
+
+
+def a_ell_y_per_call(mellin, ell: int, y: float, tol: float = 1e-7) -> complex:
+    """`specfun.a_ell_y` with its t-profile rebuilt on every call: a fresh
+    `_aell_blocks` generator and `_eisenstein_kernel` per block, the loop
+    the process-wide profile table replaced, with the same stop rule and the
+    same order of floating-point operations."""
+    aell = abs(ell)
+    w = 2.0 * math.pi * aell * y
+    log_ratios = np.array([math.log(a / (aell // a)) for a in arith.divisors(aell)])
+    total = 0.0 + 0.0j
+    quiet = 0
+    for k, (ts, wt, psi, zeta_1_2it) in enumerate(_aell_blocks(mellin)):
+        kvals = bessel_k_scaled_grid(ts, w)
+        kernel = _eisenstein_kernel(ts, zeta_1_2it)
+        dsum = np.exp(1j * np.outer(ts, log_ratios)).sum(axis=1)
+        contrib = complex(np.dot(wt, psi * kernel * dsum * kvals))
+        total += contrib
+        if abs(contrib) < tol / 8.0:
+            quiet += 1
+            if quiet >= 2 and k >= 2:
+                break
+        else:
+            quiet = 0
+    else:
+        raise ToleranceError(f"tail tolerance {tol} unattainable below t = {_AELL_T_CAP}")
+    return complex(math.sqrt(y / math.pi) * 2.0 * total.real, 0.0)
 
 
 def direct_scan_count(sys) -> int:

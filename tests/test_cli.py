@@ -286,6 +286,31 @@ class TestBoundary:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {option} ")
 
+    def test_wweight_row_cap_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # about Y(k-1)/(8 pi) = 4e16 rows: counted from the n ranges, not written
+        def fail(*args, **kwargs):
+            raise AssertionError("w_weight called")
+
+        monkeypatch.setattr(specfun, "w_weight", fail)
+        rc, out = run(tmp_path, "rej.csv", ["specfun", "wweight", "--k", "100000000",
+                                            "--Y", "1e10", "--ell", "1"])
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "39788735375086484" in err[0] and str(cli.WWEIGHT_ROWS_MAX) in err[0]
+
+    def test_wweight_row_cap_counts_every_pair(self, tmp_path, capsys, monkeypatch):
+        args = ["specfun", "wweight", "--k", "50,60", "--Y", "1,2", "--ell", "1"]
+        rc, out = run(tmp_path, "all.csv", args)
+        assert rc == 0
+        rows = len(out.read_text().splitlines()) - 1
+        assert rows > 4 * 2  # each of the four (k, Y) pairs writes more than two rows
+        monkeypatch.setattr(cli, "WWEIGHT_ROWS_MAX", rows)
+        rc, at_cap = run(tmp_path, "cap.csv", args)
+        assert rc == 0 and at_cap.read_bytes() == out.read_bytes()
+        monkeypatch.setattr(cli, "WWEIGHT_ROWS_MAX", rows - 1)
+        self.rejected(tmp_path, capsys, args)
+
     @pytest.mark.parametrize("exc", [specfun.ToleranceError("tail"), OverflowError("big"),
                                      ArithmeticError("guard"), MemoryError(),
                                      MemoryError("Unable to allocate 7.28 TiB")])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from shiftsieve import specfun as sf
 
 from .oracles import (
+    a_ell_y_per_call,
     aell_unfold,
     bessel_k_it_grid,
     bessel_k_scaled_scalar,
@@ -453,6 +455,99 @@ class TestAell:
             sf.a_ell_y(mellin, 0, 0.5)
         with pytest.raises(ValueError):
             sf.a_ell_y(mellin, 1, 0.0)
+
+
+class TestAellProfile:
+    """The process-wide t-profile table that `a_ell_y` reads its ell- and
+    y-independent factors from, against the per-call loop it replaced."""
+
+    @pytest.fixture(autouse=True)
+    def cold_table(self):
+        sf._aell_profile.cache_clear()
+        yield
+        sf._aell_profile.cache_clear()
+
+    @staticmethod
+    def count_block_sources(monkeypatch) -> list:
+        sources = []
+        real = sf._aell_blocks
+
+        def counted(mellin):
+            sources.append(mellin)
+            return real(mellin)
+
+        monkeypatch.setattr(sf, "_aell_blocks", counted)
+        return sources
+
+    def test_bitwise_equal_to_per_call_loop(self):
+        # three transforms called interleaved, so no key can serve another's
+        # profile, at points in a seeded shuffled order
+        transforms = (sf.MellinTransform(), sf.MellinTransform(nodes=512),
+                      sf.MellinTransform(sf.BumpFunction(1.0, 3.0)))
+        points = list(itertools.product(range(3), (1, -1, 2, -2, 3, 6, 12),
+                                        (0.1, 0.2014, 0.3, 0.5), (1e-6, 1e-7)))
+        random.Random(12).shuffle(points)
+        values = {}
+        for m, ell, y, tol in points:
+            got = sf.a_ell_y(transforms[m], ell, y, tol)
+            assert got == a_ell_y_per_call(transforms[m], ell, y, tol), (m, ell, y, tol)
+            values[m, ell, y, tol] = got
+        for (m, ell, y, tol), got in values.items():
+            if ell < 0:
+                assert got == values[m, -ell, y, tol]
+        assert len(sf._aell_profiles) == 3
+
+    def test_cache_clear_rebuilds(self, monkeypatch):
+        sources = self.count_block_sources(monkeypatch)
+        first = sf.a_ell_y(sf.MellinTransform(), 1, 0.3, tol=1e-6)
+        assert sf.a_ell_y(sf.MellinTransform(), 2, 0.2, tol=1e-6)
+        assert len(sources) == 1  # an equal transform shares the table
+        # the benchmark's reset: every module-level cache_clear
+        for value in list(vars(sf).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+        assert not sf._aell_profiles
+        assert sf.a_ell_y(sf.MellinTransform(), 1, 0.3, tol=1e-6) == first
+        assert len(sources) == 2
+
+    def test_two_iterators_alternating_see_every_block_in_order(self, mellin):
+        direct = list(itertools.islice(sf._aell_blocks(mellin), 6))
+        first, second = sf._aell_profile(mellin), sf._aell_profile(mellin)
+        seen = {id(first): [], id(second): []}
+        for it in (first, second, second, first, first, first, second, second, first, second):
+            seen[id(it)].append(next(it))
+        for blocks in seen.values():
+            assert len(blocks) == 5
+            for (ts, wt, profile), (ts0, wt0, psi, zeta_1_2it) in zip(blocks, direct):
+                assert np.array_equal(ts, ts0) and np.array_equal(wt, wt0)
+                assert np.array_equal(profile, psi * sf._eisenstein_kernel(ts0, zeta_1_2it))
+        assert all(a is b for a, b in zip(*seen.values()))
+        assert len(sf._aell_profiles[mellin][0]) == 5
+
+    def test_later_point_grows_the_table(self, mellin, monkeypatch):
+        sources = self.count_block_sources(monkeypatch)
+        sf.a_ell_y(mellin, 12, 0.5, tol=1e-6)  # w = 37.7: stops after a few blocks
+        table = sf._aell_profiles[mellin][0]
+        early = list(table)
+        sf.a_ell_y(mellin, 1, 0.3, tol=1e-6)  # w = 1.9: reads far further
+        assert len(sources) == 1
+        assert len(table) > len(early) + 10
+        assert all(a is b for a, b in zip(early, table))
+
+    def test_failed_block_drops_the_table(self, mellin, monkeypatch):
+        # a table cut short by an exception must not pass for the whole range
+        real = sf._aell_blocks
+
+        def failing(m):
+            yield from itertools.islice(real(m), 2)
+            raise MemoryError
+
+        monkeypatch.setattr(sf, "_aell_blocks", failing)
+        with pytest.raises(MemoryError):
+            sf.a_ell_y(mellin, 1, 0.3, tol=1e-6)
+        assert mellin not in sf._aell_profiles
+        monkeypatch.undo()
+        assert sf.a_ell_y(mellin, 1, 0.3, tol=1e-6) == a_ell_y_per_call(mellin, 1, 0.3, tol=1e-6)
 
 
 class TestWWeight:
