@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import decimal
 import functools
 import json
 import math
@@ -22,7 +23,14 @@ from typing import Sequence
 
 from . import arith, equidist, largesieve, qexpansion, shifted, specfun
 
-__all__ = ["main", "entry", "UsageError", "WWEIGHT_ROWS_MAX"]
+__all__ = [
+    "main",
+    "entry",
+    "UsageError",
+    "WWEIGHT_ROWS_MAX",
+    "SIEVECHECK_COUNT_MAX",
+    "SHIFTED_LIMIT_MAX",
+]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,6 +39,18 @@ EXIT_VIOLATION = 2
 # Rows `specfun wweight` writes at most, over all its (k, Y) pairs: at about
 # 70 us and 70 bytes a row (2-core x86 machine), 7 s and 7 MB of CSV.
 WWEIGHT_ROWS_MAX = 100_000
+
+# Instances `sievecheck` draws at most: at about 0.23 ms and 650 bytes of
+# rows held a row (2-core x86 machine), 12 s and 33 MB.
+SIEVECHECK_COUNT_MAX = 50_000
+
+# Largest table `shifted` builds, x + |ell|, per coefficient source: a
+# budget of 1 GiB over the peak bytes per table entry.  --function holds
+# about 50 (the float handle, its int64 build, the smooth-part table;
+# 228 MB at x = 4e6) and --weight up to about 1000 (the exact q-expansion
+# and its products; 130 MB at x = 1e5 for weight 26), measured on a 2-core
+# x86 machine with CPython integers.
+SHIFTED_LIMIT_MAX = {"function": (1 << 30) // 50, "weight": (1 << 30) // 1000}
 
 
 class UsageError(ValueError):
@@ -125,6 +145,12 @@ def _run_shifted(args: argparse.Namespace) -> int:
     if not 0 < epsilon < 1:
         raise UsageError("epsilon must lie in (0, 1)")
     limit = int(x) + abs(ell)
+    source = "function" if args.weight is None else "weight"
+    if limit > SHIFTED_LIMIT_MAX[source]:
+        raise UsageError(
+            f"--x {x:g} --ell {ell} need tables to {limit}, above the --{source} "
+            f"cap of {SHIFTED_LIMIT_MAX[source]}"
+        )
     if args.weight is not None:
         handle = shifted.eigenform_handle(qexpansion.eigenform(args.weight, limit))
     elif args.function == "one":
@@ -140,8 +166,8 @@ def _run_shifted(args: argparse.Namespace) -> int:
 
 
 def _run_sievecheck(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise UsageError("count must be >= 1")
+    if not 1 <= args.count <= SIEVECHECK_COUNT_MAX:
+        raise UsageError(f"--count must lie in 1..{SIEVECHECK_COUNT_MAX}, got {args.count}")
     rng = random.Random(args.seed)
     header = ["index", "a", "a_ell", "w", "v", "z", "x", "Q", "N", "brute", "bound", "holds"]
     rows = []
@@ -212,12 +238,21 @@ def _run_wweight(args: argparse.Namespace) -> int:
     ranges = []  # (k, Y, n_lo, n_hi) around each peak, counted before any work
     for k in args.k:
         for y_val in args.Y:
-            scale = y_val * (k - 1) / (4.0 * math.pi)
+            try:
+                scale = y_val * (k - 1) / (4.0 * math.pi)
+            except OverflowError:  # k itself past the float range
+                scale = math.inf
+            if not math.isfinite(scale):
+                raise UsageError(f"--k {k} --Y {y_val} put the W peak past the float range, "
+                                 f"far above the cap of {WWEIGHT_ROWS_MAX} rows")
             n_lo = max(1, 1 - ell, int(scale / 2 - ell / 2) - 1)
             ranges.append((k, y_val, n_lo, int(scale - ell / 2) + 2))
     count = sum(max(0, n_hi - n_lo + 1) for _, _, n_lo, n_hi in ranges)
     if count > WWEIGHT_ROWS_MAX:
-        raise UsageError(f"wweight would write {count} rows, above the cap of {WWEIGHT_ROWS_MAX}")
+        # a finite peak can still give a count of hundreds of digits
+        shown = str(count) if count < 10**18 else f"{decimal.Decimal(count):.3e}"
+        raise UsageError(f"--k and --Y would make wweight write {shown} rows, "
+                         f"above the cap of {WWEIGHT_ROWS_MAX}")
     rows = []
     for k, y_val, n_lo, n_hi in ranges:
         for n in range(n_lo, n_hi + 1):

@@ -2,7 +2,8 @@
 
 A system records, for each odd prime p up to the smoothness threshold, the
 residue classes struck out of an arithmetic progression; H is accumulated
-in exact rational arithmetic so the inequality checks carry no rounding.
+in exact integer arithmetic over one common denominator, so the inequality
+checks carry no rounding.
 """
 
 from __future__ import annotations
@@ -141,23 +142,32 @@ def build_omega(
 def _squarefree_h_sum(Q: float, sys: OmegaSystem, primes: list[int]) -> Fraction:
     """Sum of h(q) over square-free q <= Q built from the ascending `primes`,
     exact.  Depth-first enumeration, pruned as soon as the partial product
-    exceeds Q."""
+    exceeds Q.
+
+    Over the common denominator L = prod (p - omega(p)) of the primes <= Q,
+    L h(q) = prod_{p | q} omega(p) * prod_{p not dividing q} (p - omega(p))
+    is an integer, and a node reaches its child q p from it by one exact
+    division by p - omega(p) and one multiplication by omega(p).  The
+    enumeration adds integers and the result is one Fraction(total, L).
+    """
     if not Q >= 1:  # NaN included: no q <= Q, but q = 1 would be counted
         raise ValueError(f"Q must be >= 1, got {Q}")
     primes = [p for p in primes if p <= Q]
-    hp = [Fraction(len(sys.omega[p]), p - len(sys.omega[p])) for p in primes]
-    total = Fraction(0)
+    omegas = [len(sys.omega[p]) for p in primes]
+    dens = [p - w for p, w in zip(primes, omegas)]
+    big_l = math.prod(dens)
+    total = 0
 
-    def descend(idx: int, q: int, value: Fraction) -> None:
+    def descend(idx: int, q: int, term: int) -> None:
         nonlocal total
-        total += value
+        total += term
         for i in range(idx, len(primes)):
             if q * primes[i] > Q:
                 break
-            descend(i + 1, q * primes[i], value * hp[i])
+            descend(i + 1, q * primes[i], term // dens[i] * omegas[i])
 
-    descend(0, 1, Fraction(1))
-    return total
+    descend(0, 1, big_l)
+    return Fraction(total, big_l)
 
 
 def big_h(Q: float, sys: OmegaSystem) -> Fraction:

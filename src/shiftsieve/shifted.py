@@ -3,8 +3,10 @@ large-sieve upper bound on the small-smooth-part piece.
 
 Coefficient inputs are absolute-value tables |lambda(n)| wrapped in
 CoefficientHandle, so eigenform tables and closed-form multiplicative
-functions (tau_m, the constant 1) go through the same code paths.  All
-floating accumulations use math.fsum.
+functions (tau_m, the constant 1) go through the same code paths.  Every
+floating sum is correctly rounded: the partition sums are computed exactly
+in integers over the terms' mantissas and rounded once each, and the other
+accumulations use math.fsum.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from math import comb, fsum, gcd
+from typing import Iterable
 
 import numpy as np
 
@@ -112,13 +115,75 @@ class PartitionSums:
         return abs(lhs - self.s_total) / scale
 
 
+# Rows per pass of partition_sums: its temporaries stay near 1 MB at any x,
+# below what building the smooth-part table takes, and far below the 2^26
+# terms that would let a float64 bin of _class_sums pass 2^53.
+_CHUNK = 1 << 14
+# np.frexp writes a finite double as m * 2^e with 0.5 <= |m| < 1 and
+# -1073 <= e <= 1024; m * 2^53 is an integer, split at bit 26 into halves.
+_FREXP_MIN, _FREXP_MAX = -1073, 1024
+_EXP_BINS = _FREXP_MAX - _FREXP_MIN + 1
+
+
+def _class_sums(
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]], classes: int
+) -> tuple[list[int], int]:
+    """Exact sums of float64 values by class: ([n_0, ..., n_{classes-1}], e)
+    with the sum of class c equal to n_c * 2^e, where chunks yields (values,
+    labels) pairs of equal length, labels in range(classes), fewer than 2^26
+    values each.
+
+    Each value is hi * 2^(26+e') + lo * 2^e' with integers |hi| <= 2^27,
+    0 <= lo < 2^26 and e' = frexp exponent - 53.  np.bincount sums the halves
+    per (class, exponent) in float64, exactly, since no bin passes 2^53, and
+    int64 bins gather the chunks.  Raises ValueError on a non-finite value,
+    which no coefficient table holds.
+    """
+    acc = np.zeros((2, classes * _EXP_BINS), dtype=np.int64)
+    for values, labels in chunks:
+        if not np.isfinite(values).all():
+            raise ValueError("exact sum of a non-finite value")
+        m, e = np.frexp(values)
+        hi = np.floor(m * 2.0**27)
+        lo = m * 2.0**53 - hi * 2.0**26
+        bins = labels * _EXP_BINS + (e - _FREXP_MIN)
+        acc[0] += np.bincount(bins, hi, classes * _EXP_BINS).astype(np.int64)
+        acc[1] += np.bincount(bins, lo, classes * _EXP_BINS).astype(np.int64)
+    used = np.flatnonzero(acc.reshape(2 * classes, _EXP_BINS).any(axis=0))
+    base = int(used[0]) if used.size else 0
+    his, los = acc.reshape(2, classes, _EXP_BINS)[:, :, used].tolist()
+    shifts = (used - base).tolist()
+    sums = [
+        sum(((h << 26) + l) << s for h, l, s in zip(hc, lc, shifts))
+        for hc, lc in zip(his, los)
+    ]
+    return sums, base + _FREXP_MIN - 53
+
+
+def _round(n: int, e: int) -> float:
+    """n * 2^e rounded once to the nearest double, ties to even, as
+    float(Fraction(n * 2^e)) does: CPython rounds int true division and
+    int-to-float conversion correctly, and both raise OverflowError past the
+    float range, where math.fsum raises it too."""
+    return float(n << e) if e >= 0 else n / (1 << -e)
+
+
 def partition_sums(
     h1: CoefficientHandle,
     h2: CoefficientHandle,
     params: SievingParameters,
     ell: int,
 ) -> PartitionSums:
-    """Classify every n <= x by the z-smooth parts of n and n+ell."""
+    """Classify every n <= x by the z-smooth parts of n and n+ell.
+
+    One pass labels each n by class, 1 for smooth(n) > y plus 2 for
+    smooth(n+ell) > y, and sums |l1(n) l2(n+ell)| exactly per class in
+    chunks of _CHUNK.  Each field is rounded once from the exact class sums
+    c0..c3: s_total from all four, s_small from c0, overlap from c3, and
+    s_big as the float sum of the rounded a>y part (c1 + c3) and the rounded
+    a_ell>y part (c2 + c3).  So every field equals the math.fsum of its
+    terms, and s_big the sum of two such fsums.
+    """
     x, z, y = params.x, params.z, params.y
     if ell == 0 or abs(ell) > x:
         raise ValueError(f"shift must satisfy 0 < |ell| <= x, got ell={ell}")
@@ -126,15 +191,21 @@ def partition_sums(
     h1.require(hi)
     h2.require(hi + ell)
     smooth = smooth_part_table(hi + max(ell, 0), z)
-    ns = np.arange(lo, hi + 1)
-    prod = h1.values[lo : hi + 1] * h2.values[lo + ell : hi + ell + 1]
-    big1 = smooth[ns] > y
-    big2 = smooth[ns + ell] > y
-    s_total = fsum(prod)
-    s_big = fsum(prod[big1]) + fsum(prod[big2])
-    overlap = fsum(prod[big1 & big2])
-    s_small = fsum(prod[~big1 & ~big2])
-    return PartitionSums(s_total=s_total, s_big=s_big, s_small=s_small, overlap=overlap)
+
+    def chunks():
+        for start in range(lo, hi + 1, _CHUNK):
+            stop = min(start + _CHUNK, hi + 1)
+            prod = h1.values[start:stop] * h2.values[start + ell : stop + ell]
+            labels = (smooth[start:stop] > y) + 2 * (smooth[start + ell : stop + ell] > y)
+            yield prod, labels
+
+    (c0, c1, c2, c3), e = _class_sums(chunks(), 4)
+    return PartitionSums(
+        s_total=_round(c0 + c1 + c2 + c3, e),
+        s_big=_round(c1 + c3, e) + _round(c2 + c3, e),
+        s_small=_round(c0, e),
+        overlap=_round(c3, e),
+    )
 
 
 def m_of_x(h1: CoefficientHandle, h2: CoefficientHandle, params: SievingParameters) -> float:
@@ -285,7 +356,9 @@ def sieve_side_bound(
     H depends on the system only through omega(p) for the odd primes
     p <= min(z, Q), and omega(p) = 1 exactly when p | a a_ell w (for p
     dividing neither a nor a_ell the two struck classes coincide iff p | w),
-    2 otherwise.  H is memoised on that prime set within the call.
+    2 otherwise.  H is memoised on that prime set within the call, each one
+    the exact rational of `big_h` (integers over one common denominator)
+    rounded once to a float.
     """
     x, z, y, q_par = params.x, params.z, params.y, params.Q
     if ell == 0 or abs(ell) > x:

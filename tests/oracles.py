@@ -7,9 +7,10 @@ brute-force tuple enumeration for tau_m, the schoolbook convolution for
 exact series products, and a walk over the progression itself for the
 sifted count of a residue-class system.  The scalar K-Bessel and zeta loops,
 the per-call Eisenstein coefficient loop, the four multiplicative-table
-builders and the cell-by-cell sieve-side bound (which shares the package's
-sieve systems and H) are the slow references for the library paths that
-replaced them.  Six functions (complex Gamma, K_it
+builders, the five-fsum partition sums, the Fraction-valued square-free H
+enumeration and the cell-by-cell sieve-side bound (which shares the
+package's sieve systems and H) are the slow references for the library
+paths that replaced them.  Six functions (complex Gamma, K_it
 over an array of orders, the Mellin decay calibration, the contour form of
 the spectral weight, the brute-force S_ell(x) and the single large-sieve
 term h(q)) have no caller outside the tests.
@@ -27,6 +28,7 @@ import numpy as np
 
 from shiftsieve import arith
 from shiftsieve.largesieve import big_h, build_omega, crt_residue
+from shiftsieve.shifted import PartitionSums
 from shiftsieve.specfun import (
     ToleranceError,
     _AELL_T_CAP,
@@ -499,6 +501,51 @@ def s_ell_brute(h1, h2, x: float, ell: int) -> float:
     h1.require(hi)
     h2.require(hi + ell)
     return math.fsum(h1.values[lo : hi + 1] * h2.values[lo + ell : hi + ell + 1])
+
+
+def partition_sums_fsum(h1, h2, params, ell: int) -> PartitionSums:
+    """`shifted.partition_sums` by five math.fsum passes over boolean masks
+    of the whole window, one Python float per term and pass; the reference
+    for its one-pass exact class sums."""
+    x, z, y = params.x, params.z, params.y
+    if ell == 0 or abs(ell) > x:
+        raise ValueError(f"shift must satisfy 0 < |ell| <= x, got ell={ell}")
+    lo, hi = max(1, 1 - ell), int(x)
+    h1.require(hi)
+    h2.require(hi + ell)
+    smooth = arith.smooth_part_table(hi + max(ell, 0), z)
+    ns = np.arange(lo, hi + 1)
+    prod = h1.values[lo : hi + 1] * h2.values[lo + ell : hi + ell + 1]
+    big1 = smooth[ns] > y
+    big2 = smooth[ns + ell] > y
+    return PartitionSums(
+        s_total=math.fsum(prod),
+        s_big=math.fsum(prod[big1]) + math.fsum(prod[big2]),
+        s_small=math.fsum(prod[~big1 & ~big2]),
+        overlap=math.fsum(prod[big1 & big2]),
+    )
+
+
+def squarefree_h_sum_fractions(Q: float, sys, primes: list[int]) -> Fraction:
+    """Sum of h(q) over square-free q <= Q built from the ascending `primes`
+    by a depth-first walk that multiplies and adds a normalised Fraction at
+    every node; the reference for `largesieve._squarefree_h_sum`."""
+    if not Q >= 1:
+        raise ValueError(f"Q must be >= 1, got {Q}")
+    primes = [p for p in primes if p <= Q]
+    hp = [Fraction(len(sys.omega[p]), p - len(sys.omega[p])) for p in primes]
+    total = Fraction(0)
+
+    def descend(idx: int, q: int, value: Fraction) -> None:
+        nonlocal total
+        total += value
+        for i in range(idx, len(primes)):
+            if q * primes[i] > Q:
+                break
+            descend(i + 1, q * primes[i], value * hp[i])
+
+    descend(0, 1, Fraction(1))
+    return total
 
 
 def h_value(q: int, sys) -> Fraction:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftsieve import cli, largesieve, qexpansion, specfun
+from shiftsieve import arith, cli, largesieve, qexpansion, shifted, specfun
 
 
 def run(tmp_path, name, args):
@@ -310,6 +311,67 @@ class TestBoundary:
         assert rc == 0 and at_cap.read_bytes() == out.read_bytes()
         monkeypatch.setattr(cli, "WWEIGHT_ROWS_MAX", rows - 1)
         self.rejected(tmp_path, capsys, args)
+
+    @pytest.mark.parametrize("k, big_y", [("100000000", "1e308"), ("12", "1e300")],
+                             ids=["peak-overflows", "peak-finite"])
+    def test_wweight_astronomic_peak_names_k_y_and_cap(self, tmp_path, capsys, monkeypatch,
+                                                       k, big_y):
+        def fail(*args, **kwargs):
+            raise AssertionError("w_weight called")
+
+        monkeypatch.setattr(specfun, "w_weight", fail)
+        rc, out = run(tmp_path, "rej.csv", ["specfun", "wweight", "--k", k, "--Y", big_y,
+                                            "--ell", "1"])
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "--k" in err[0] and "--Y" in err[0] and str(cli.WWEIGHT_ROWS_MAX) in err[0]
+        assert max(len(d) for d in re.findall(r"\d+", err[0])) < 20
+
+    @staticmethod
+    def _no_tables(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("table built")
+
+        for module, name in ((arith, "multiplicative_table"), (qexpansion, "delta_qexp"),
+                             (shifted, "unit_handle"), (largesieve, "random_admissible_system")):
+            monkeypatch.setattr(module, name, fail)
+
+    @pytest.mark.parametrize("source, x", [
+        (["--function", "tau2"], "1e9"), (["--function", "tau6"], "3e7"),
+        (["--function", "one"], "1e12"), (["--weight", "12"], "3e8"),
+        (["--weight", "26"], "2e6"),
+    ], ids=["tau2", "tau6", "one", "weight12", "weight26"])
+    def test_shifted_cap_refused_before_any_table(self, tmp_path, capsys, monkeypatch,
+                                                  source, x):
+        self._no_tables(monkeypatch)
+        rc, out = run(tmp_path, "rej.csv", ["shifted", *source, "--x", x, "--ell", "-3",
+                                            "--epsilon", "0.5"])
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        cap = cli.SHIFTED_LIMIT_MAX[source[0][2:]]
+        assert len(err) == 1 and str(cap) in err[0] and err[0].startswith("error: --x")
+
+    @pytest.mark.parametrize("source", [["--function", "tau3"], ["--weight", "12"]])
+    def test_shifted_cap_counts_x_plus_ell(self, tmp_path, capsys, monkeypatch, source):
+        args = ["shifted", *source, "--x", "400", "--ell", "-5", "--epsilon", "0.5"]
+        monkeypatch.setitem(cli.SHIFTED_LIMIT_MAX, source[0][2:], 405)
+        rc, _ = run(tmp_path, "at.csv", args)
+        assert rc == 0
+        monkeypatch.setitem(cli.SHIFTED_LIMIT_MAX, source[0][2:], 404)
+        self.rejected(tmp_path, capsys, args)
+
+    def test_sievecheck_count_cap_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        over = str(cli.SIEVECHECK_COUNT_MAX + 1)
+        args = ["sievecheck", "--count", "3", "--seed", "5"]
+        monkeypatch.setattr(cli, "SIEVECHECK_COUNT_MAX", 3)
+        rc, _ = run(tmp_path, "at.csv", args)
+        assert rc == 0
+        self._no_tables(monkeypatch)
+        self.rejected(tmp_path, capsys, ["sievecheck", "--count", "4", "--seed", "5"])
+        monkeypatch.undo()
+        self._no_tables(monkeypatch)
+        self.rejected(tmp_path, capsys, ["sievecheck", "--count", over, "--seed", "5"])
 
     @pytest.mark.parametrize("exc", [specfun.ToleranceError("tail"), OverflowError("big"),
                                      ArithmeticError("guard"), MemoryError(),

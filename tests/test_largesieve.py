@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from shiftsieve import largesieve as ls
 
-from .oracles import direct_scan_count, h_value
+from .oracles import direct_scan_count, h_value, squarefree_h_sum_fractions
 
 
 class TestCrt:
@@ -106,6 +106,17 @@ class TestHValues:
                 except ValueError:  # not square-free, or a prime outside P
                     pass
             assert ls.big_h(q, sys) == total
+
+    def test_integer_dfs_matches_fraction_dfs(self):
+        # 500 seeded instances, a third with z up to 200 for longer prime sets
+        rng = random.Random(20261019)
+        for i in range(500):
+            sys, q = ls.random_admissible_system(rng, z_max=200 if i % 3 == 0 else 50)
+            assert ls.big_h(q, sys) == squarefree_h_sum_fractions(q, sys, list(sys.primes))
+            divides = [p for p in sys.primes if (sys.a * sys.a_ell) % p == 0]
+            assert ls.h_divisor_subsum(q, sys) == squarefree_h_sum_fractions(q, sys, divides)
+            assert ls.ls_bound(sys, q) == (sys.n_range + q * q) / float(
+                squarefree_h_sum_fractions(q, sys, list(sys.primes)))
 
     def test_big_h_monotone_in_q(self):
         sys = ls.build_omega(1, 1, 1, z=20, x=10**4, v=1)

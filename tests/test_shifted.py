@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,9 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftsieve import arith, shifted as sh
+from shiftsieve import arith, largesieve, shifted as sh
 
-from .oracles import divisor_count, fz_split, s_ell_brute, sieve_side_bound_cells
+from .oracles import (
+    divisor_count,
+    fz_split,
+    partition_sums_fsum,
+    s_ell_brute,
+    sieve_side_bound_cells,
+    squarefree_h_sum_fractions,
+)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +142,99 @@ class TestPartition:
         assert min(parts.s_total, parts.s_big, parts.s_small, parts.overlap) >= 0.0
 
 
+def _class_fsums(values, labels, classes=4, chunk=None):
+    """(exact kernel rounded, math.fsum) per class, the kernel fed in chunks."""
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels, dtype=np.int64)
+    step = chunk or max(1, values.size)
+    pieces = [(values[i : i + step], labels[i : i + step]) for i in range(0, values.size, step)]
+    sums, e = sh._class_sums(pieces, classes)
+    return ([sh._round(n, e) for n in sums],
+            [math.fsum(values[labels == c]) for c in range(classes)])
+
+
+class TestClassSums:
+    """The exact class-sum kernel behind partition_sums, against math.fsum."""
+
+    def test_empty_class_and_single_term(self):
+        got, want = _class_fsums([2.5], [1], classes=3)
+        assert got == want == [0.0, 2.5, 0.0]
+        got, want = _class_fsums([], [], classes=2)
+        assert got == want == [0.0, 0.0]
+
+    def test_subnormals(self):
+        tiny = 5e-324
+        values = [tiny, 3 * tiny, 2.2250738585072014e-308, -tiny, 1e-310, 1e-320]
+        got, want = _class_fsums(values, [0, 0, 1, 1, 2, 2], classes=3)
+        assert got == want
+        assert got[0] == 4 * tiny
+
+    def test_signed_terms_cancel_exactly(self):
+        values = [1e16, 1.0, -1e16, 3.5, -3.5, -1.0, 1e-300, -1e-300]
+        got, want = _class_fsums(values, [0] * len(values), classes=1)
+        assert got == want == [0.0]
+        got, want = _class_fsums([1e16, 1.0, -1e16], [0, 0, 0], classes=1)
+        assert got == want == [1.0]
+
+    def test_terms_spanning_the_float_range(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(20):
+            size = int(rng.integers(1, 400))
+            mags = 10.0 ** rng.uniform(-300, 300, size)
+            values = mags * rng.choice([-1.0, 1.0], size)
+            labels = rng.integers(0, 4, size)
+            got, want = _class_fsums(values, labels, chunk=int(rng.integers(1, 64)))
+            assert got == want
+
+    def test_finite_sum_past_the_float_range(self):
+        values = np.full(4, 1e308)
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        with pytest.raises(OverflowError):
+            _class_fsums(values, [0, 0, 0, 0], classes=1)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_input_refused(self, bad):
+        with pytest.raises(ValueError):
+            sh._class_sums([(np.array([1.0, bad]), np.array([0, 0]))], 1)
+
+
+@pytest.fixture(scope="module")
+def partition_handles(forms_1e5):
+    limit = 51_510  # the largest x + |ell| below
+    return {
+        "tau2": sh.tau_handle(2, limit),
+        "tau3": sh.tau_handle(3, limit),
+        "one": sh.unit_handle(limit),
+        "lambda_k12": sh.eigenform_handle(forms_1e5[12], limit),
+        "lambda_k26": sh.eigenform_handle(forms_1e5[26], limit),
+    }
+
+
+class TestPartitionOracle:
+    """partition_sums equals the five-fsum oracle, field by field."""
+
+    @pytest.mark.parametrize("name", ["tau2", "tau3", "one", "lambda_k12", "lambda_k26"])
+    @pytest.mark.parametrize("x", [1_000, 10_000, 50_000])
+    def test_matches_five_fsums(self, partition_handles, name, x):
+        h = partition_handles[name]
+        for eps in (0.3, 0.7):  # z > x, then z < x
+            params = arith.make_params(x, eps)
+            assert (params.z > x) == (eps == 0.3)
+            for ell in (1, -1, 2, -2, 3, -6):
+                got = sh.partition_sums(h, h, params, ell)
+                assert got == partition_sums_fsum(h, h, params, ell), (eps, ell)
+
+    def test_mixed_handles_across_chunks(self, partition_handles, monkeypatch):
+        # h1 differs from h2, and the window runs over 13 chunks, the last short
+        monkeypatch.setattr(sh, "_CHUNK", 4_000)
+        h1, h2 = partition_handles["lambda_k26"], partition_handles["tau3"]
+        for ell in (1, -6):
+            params = arith.make_params(50_000, 0.5)
+            assert sh.partition_sums(h1, h2, params, ell) == partition_sums_fsum(
+                h1, h2, params, ell)
+
+
 class TestMOfX:
     def test_constant_handle_against_direct_product(self):
         limit = 10**6 + 1
@@ -234,6 +335,24 @@ def _matches_cell_loop(h1, h2, params, ell):
     assert (bound.value, bound.vw_pairs, bound.cells, bound.contributing_cells) == expected
     assert bound.distinct_h <= bound.contributing_cells
     return bound
+
+
+class TestSieveSideBoundIntegerH:
+    """The sieve-side bound with H from the integer DFS equals the bound
+    with H from the Fraction oracle, on the benchmark's sieve-shifts shapes."""
+
+    @pytest.mark.parametrize("fn, ell, eps, x", [
+        ("tau2", 1, 0.5, 50_000), ("tau3", -2, 0.5, 48_600), ("one", 3, 0.5, 51_400),
+        ("tau2", -4, 0.31, 49_300), ("tau3", 5, 0.33, 50_700), ("one", -6, 0.349, 51_000),
+    ])
+    def test_matches_fraction_h(self, partition_handles, monkeypatch, fn, ell, eps, x):
+        h = partition_handles[fn]
+        params = arith.make_params(x, eps)
+        got = sh.sieve_side_bound(h, h, params, ell)
+        monkeypatch.setattr(largesieve, "_squarefree_h_sum", squarefree_h_sum_fractions)
+        want = sh.sieve_side_bound(h, h, params, ell)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        assert got.contributing_cells > 0
 
 
 class TestSieveSideBoundOnePass:
