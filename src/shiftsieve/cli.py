@@ -30,6 +30,8 @@ __all__ = [
     "WWEIGHT_ROWS_MAX",
     "SIEVECHECK_COUNT_MAX",
     "SHIFTED_LIMIT_MAX",
+    "CUTOFF_MAX",
+    "AELL_ELL_MAX",
 ]
 
 EXIT_OK = 0
@@ -52,6 +54,14 @@ SIEVECHECK_COUNT_MAX = 50_000
 # x86 machine with CPython integers.
 SHIFTED_LIMIT_MAX = {"function": (1 << 30) // 50, "weight": (1 << 30) // 1000}
 
+# Largest `eigenform` and `mk` --cutoff: the q-expansion budget of `shifted
+# --weight`, 1 GiB over about 1000 bytes per entry.
+CUTOFF_MAX = SHIFTED_LIMIT_MAX["weight"]
+
+# Largest |ell| `specfun aell` takes: its divisors come from trial division
+# by the primes up to arith.PRIME_TABLE_MAX.
+AELL_ELL_MAX = arith.PRIME_TABLE_MAX**2
+
 
 class UsageError(ValueError):
     pass
@@ -60,6 +70,12 @@ class UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for violations
         raise UsageError(message)
+
+
+def _int_text(n: int) -> str:
+    """n in full below 18 digits, else as 1.234e+56: a number of hundreds
+    of digits must not fill the one line of an error."""
+    return str(n) if abs(n) < 10**18 else f"{decimal.Decimal(n):.3e}"
 
 
 def _fmt(value) -> str:
@@ -107,7 +123,7 @@ def _values(text: str, convert) -> list:
         raise argparse.ArgumentTypeError(f"bad {convert.__name__} list {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError(f"empty list {text!r}")
-    if not all(cmath.isfinite(v) for v in values):
+    if not all(isinstance(v, int) or cmath.isfinite(v) for v in values):  # an int may pass 1e308
         raise argparse.ArgumentTypeError(f"non-finite value in {text!r}")
     return values
 
@@ -127,9 +143,15 @@ def _complexes(text: str) -> list[complex]:
 # ---------------------------------------------------------------------------
 # command implementations
 
+def _check_cutoff(cutoff: int) -> None:
+    if cutoff > CUTOFF_MAX:
+        raise UsageError(f"--cutoff {_int_text(cutoff)} is above the cap of {CUTOFF_MAX}")
+
+
 def _run_eigenform(args: argparse.Namespace) -> int:
     if args.cutoff < 1:
         raise UsageError("cutoff must be >= 1")
+    _check_cutoff(args.cutoff)
     form = qexpansion.eigenform(args.weight, args.cutoff)
     coeffs = form.qexp.coeffs
     lam = form.eigenvalue_array(args.cutoff).tolist()
@@ -189,6 +211,7 @@ def _run_sievecheck(args: argparse.Namespace) -> int:
 def _run_mk(args: argparse.Namespace) -> int:
     if args.cutoff < args.weight:
         raise UsageError("cutoff must reach the weight")
+    _check_cutoff(args.cutoff)
     form = qexpansion.eigenform(args.weight, args.cutoff)
     report = equidist.corollary3_report(form, args.cutoff)
     _write_rows(args, equidist.corollary3_csv_header(), [equidist.corollary3_csv_row(report)])
@@ -235,6 +258,8 @@ def _run_theta(args: argparse.Namespace) -> int:
 
 def _run_wweight(args: argparse.Namespace) -> int:
     ell = args.ell
+    if abs(ell) > sys.float_info.max:  # ell / 2 below would overflow
+        raise UsageError(f"--ell {_int_text(ell)} is past the float range")
     ranges = []  # (k, Y, n_lo, n_hi) around each peak, counted before any work
     for k in args.k:
         for y_val in args.Y:
@@ -243,15 +268,14 @@ def _run_wweight(args: argparse.Namespace) -> int:
             except OverflowError:  # k itself past the float range
                 scale = math.inf
             if not math.isfinite(scale):
-                raise UsageError(f"--k {k} --Y {y_val} put the W peak past the float range, "
-                                 f"far above the cap of {WWEIGHT_ROWS_MAX} rows")
+                raise UsageError(f"--k {_int_text(k)} --Y {y_val} put the W peak past the "
+                                 f"float range, far above the cap of {WWEIGHT_ROWS_MAX} rows")
             n_lo = max(1, 1 - ell, int(scale / 2 - ell / 2) - 1)
             ranges.append((k, y_val, n_lo, int(scale - ell / 2) + 2))
     count = sum(max(0, n_hi - n_lo + 1) for _, _, n_lo, n_hi in ranges)
     if count > WWEIGHT_ROWS_MAX:
         # a finite peak can still give a count of hundreds of digits
-        shown = str(count) if count < 10**18 else f"{decimal.Decimal(count):.3e}"
-        raise UsageError(f"--k and --Y would make wweight write {shown} rows, "
+        raise UsageError(f"--k and --Y would make wweight write {_int_text(count)} rows, "
                          f"above the cap of {WWEIGHT_ROWS_MAX}")
     rows = []
     for k, y_val, n_lo, n_hi in ranges:
@@ -274,6 +298,9 @@ def _run_gammaratio(args: argparse.Namespace) -> int:
 
 
 def _run_aell(args: argparse.Namespace) -> int:
+    for ell in args.ell:
+        if abs(ell) > AELL_ELL_MAX:
+            raise UsageError(f"--ell {_int_text(ell)} is above the cap of {AELL_ELL_MAX}")
     mellin = specfun.MellinTransform()
     rows = []
     for ell in args.ell:

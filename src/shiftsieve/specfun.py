@@ -2,7 +2,8 @@
 
 Self-contained implementations: Riemann zeta by Euler-Maclaurin with ten
 correction terms, complex log-gamma by a Lanczos approximation (reflection
-below Re = 1/2), both over arrays too, K-Bessel of imaginary order by
+below Re = 1/2, with log sin(pi z) taken from its dominant exponential far
+from the real axis), both over arrays too, K-Bessel of imaginary order by
 quadrature of the absolutely convergent cosh representation and, batched
 over orders, of the rotated exp(pi t/2)-scaled one, which hands orders far
 enough past the turning point t = w to the Debye expansion (DLMF 10.41.4),
@@ -10,17 +11,16 @@ plus the Eisenstein coefficient formulas, the canonical bump weight, its
 Mellin transform, and the Laplace-form evaluation of the spectral weight
 W(n, ell; Y).  The Eisenstein coefficient integral evaluates its Mellin and
 zeta factors block by block as shifted exponential sums, a few small matrix
-products per block.
+products per block, and keeps the ell- and y-independent part of each block
+per bump in a `functools.cache` (`_aell_profile`).
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -159,28 +159,54 @@ def _lanczos_log_gamma(z, log):
     return 0.5 * LN2PI + (zz + 0.5) * log(t) - t + log(x)
 
 
+# From this |Im z| on, the reflection takes log sin(pi z) from its dominant
+# exponential: sin(pi z) itself leaves the float range near |Im z| = 226.
+_SIN_FAR = 200.0
+
+
+def _log_sin_pi_far(z):
+    """log sin(pi z), up to a multiple of 2 pi i, for |Im z| >= _SIN_FAR.
+
+    With s the sign of Im z, sin(pi z) = (i s / 2) exp(-i s pi z) (1 - u)
+    with u = exp(2 i s pi z), so log sin(pi z) = -i s pi (z - 1/2) - log 2
+    + log(1 - u); |u| = exp(-2 pi |Im z|) < exp(-1256) is 0 in floating
+    point.  z is a complex number or an array of them.
+    """
+    return -1j * np.copysign(np.pi, np.imag(z)) * (z - 0.5) - math.log(2.0)
+
+
 def clgamma(z):
     """Principal log-gamma; accurate to ~1e-13 relative on the needed strips.
 
     z is a complex number or an array of them (evaluated elementwise).
+    Below Re z = 1/2 the value is log Gamma(z) only up to a multiple of
+    2 pi i, which every caller exponentiates away.
     """
     if np.ndim(z):
         z = np.asarray(z, dtype=complex)
         reflect = z.real < 0.5
         out = _lanczos_log_gamma(np.where(reflect, 1.0 - z, z), np.log)
         if reflect.any():
-            sin_piz = np.sin(np.pi * z[reflect])
+            zr = z[reflect]
+            far = np.abs(zr.imag) >= _SIN_FAR
+            log_sin = _log_sin_pi_far(zr)
+            sin_piz = np.sin(np.pi * zr[~far])
             if np.any(sin_piz == 0):
-                raise PoleError(f"log-gamma pole at z = {z[reflect][sin_piz == 0][0]}")
-            out[reflect] = math.log(math.pi) - np.log(sin_piz) - out[reflect]
+                raise PoleError(f"log-gamma pole at z = {zr[~far][sin_piz == 0][0]}")
+            log_sin[~far] = np.log(sin_piz)
+            out[reflect] = math.log(math.pi) - log_sin - out[reflect]
         return out
     z = complex(z)
     if z.real < 0.5:
         # reflection: log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
-        sin_piz = cmath.sin(cmath.pi * z)
-        if sin_piz == 0:
-            raise PoleError(f"log-gamma pole at z = {z}")
-        return cmath.log(cmath.pi) - cmath.log(sin_piz) - clgamma(1.0 - z)
+        if abs(z.imag) >= _SIN_FAR:
+            log_sin = complex(_log_sin_pi_far(z))
+        else:
+            sin_piz = cmath.sin(cmath.pi * z)
+            if sin_piz == 0:
+                raise PoleError(f"log-gamma pole at z = {z}")
+            log_sin = cmath.log(sin_piz)
+        return cmath.log(cmath.pi) - log_sin - clgamma(1.0 - z)
     return _lanczos_log_gamma(z, cmath.log)
 
 
@@ -232,23 +258,22 @@ class MellinTransform:
 
     bump: BumpFunction = DEFAULT_BUMP
     nodes: int = 1024
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
+    @functools.cached_property
     def _grid(self) -> tuple[np.ndarray, np.ndarray, float]:
-        if "grid" not in self._cache:
-            lo, hi = self.bump.lo, self.bump.hi
-            h = (hi - lo) / self.nodes
-            ts = lo + h * (np.arange(self.nodes) + 0.5)
-            self._cache["grid"] = (np.log(ts), self.bump.values(ts), h)
-        return self._cache["grid"]
+        """log t, g(t) and the step h over the midpoint nodes t."""
+        lo, hi = self.bump.lo, self.bump.hi
+        h = (hi - lo) / self.nodes
+        ts = lo + h * (np.arange(self.nodes) + 0.5)
+        return np.log(ts), self.bump.values(ts), h
 
     def __call__(self, s: complex) -> complex:
-        logt, gv, h = self._grid()
+        logt, gv, h = self._grid
         return complex(h * np.sum(gv * np.exp((complex(s) - 1.0) * logt)))
 
     def values_at(self, ss: np.ndarray) -> np.ndarray:
         """Vectorized G over an array of complex points."""
-        logt, gv, h = self._grid()
+        logt, gv, h = self._grid
         return h * (np.exp(np.outer(np.asarray(ss) - 1.0, logt)) @ gv)
 
 
@@ -554,6 +579,7 @@ def varphi_ell(ell: int, s: complex) -> complex:
 _AELL_T_CAP = 700.0  # a_ell_y gives up past this t
 _AELL_BLOCK = 4.0  # t-width of a block of the a_ell_y integral
 _AELL_PANELS = 8  # Gauss-Legendre panels per block
+_AELL_BLOCKS = int(_AELL_T_CAP / _AELL_BLOCK) + 1  # 176, the last from t = 700
 
 
 def _eisenstein_kernel(ts: np.ndarray, zeta_1_2it: np.ndarray) -> np.ndarray:
@@ -591,70 +617,43 @@ class _ShiftedSum:
         return (self.node_phase[:, :n] @ (self.panel_phase[:n] * shift[:, None])).T.ravel()
 
 
-def _aell_blocks(mellin: MellinTransform):
-    """The blocks [4k, 4k + 4], k = 0, 1, ..., of the a_ell_y integral up to
-    _AELL_T_CAP: for each, the Gauss-Legendre nodes ts and weights, and
-    Psi(-1/2 - it) and zeta(1 + 2it) at the nodes.
-
-    Both are exponential sums in t, which `_ShiftedSum` evaluates block by
-    block: Psi(-1/2 - it) = h sum_j g_j t_j^{-3/2} exp(-it log t_j) over the
-    midpoint nodes t_j of `mellin`, and the head sum_{m<n} m^{-1}
-    exp(-2it log m) of zeta(1 + 2it) plus its Euler-Maclaurin remainder, with
-    one term count n per block: the one `zeta` takes at the largest node.
-    `a_ell_y` reads these blocks through `_aell_profile`, whose table keeps,
-    per transform, each block's nodes, weights and Psi times the Eisenstein
-    kernel until `_aell_profile.cache_clear()`.
-    """
+@functools.cache
+def _aell_sums(mellin: MellinTransform) -> tuple[_ShiftedSum, _ShiftedSum]:
+    """The two exponential sums in t that the blocks of the a_ell_y integral
+    evaluate, per transform (equal bump and node count share one): Psi(-1/2
+    - it) = h sum_j g_j t_j^{-3/2} exp(-it log t_j) over the midpoint nodes
+    t_j of `mellin`, and the head sum_m m^{-1} exp(-2it log m) of zeta(1 +
+    2it), with enough terms for every block up to _AELL_T_CAP."""
     width = _AELL_BLOCK / _AELL_PANELS
     offsets = _gauss_legendre(np.array([0.0, width]), _GL16)[0].ravel()
     starts = width * np.arange(_AELL_PANELS)
-    logt, gv, h = mellin._grid()
+    logt, gv, h = mellin._grid
     psi = _ShiftedSum(logt, h * gv * np.exp(-1.5 * logt), offsets, starts)
     m = np.arange(1.0, _zeta_terms(2.0 * (_AELL_T_CAP + _AELL_BLOCK)))
-    head = _ShiftedSum(2.0 * np.log(m), 1.0 / m, offsets, starts)
-    lo = 0.0
-    while lo <= _AELL_T_CAP:
-        edges = np.linspace(lo, lo + _AELL_BLOCK, _AELL_PANELS + 1)
-        ts, wt = (a.ravel() for a in _gauss_legendre(edges, _GL16))
-        n = int(_zeta_terms(2.0 * ts[-1]))
-        zeta_1_2it = _add_euler_maclaurin(head.block(lo, n - 1), 1.0 + 2j * ts, float(n))
-        yield ts, wt, psi.block(lo, psi.lam.size), zeta_1_2it
-        lo += _AELL_BLOCK
+    return psi, _ShiftedSum(2.0 * np.log(m), 1.0 / m, offsets, starts)
 
 
-_aell_profiles: dict[MellinTransform, tuple[list, Iterator]] = {}
+def _aell_block(mellin: MellinTransform, k: int) -> tuple[np.ndarray, ...]:
+    """Block [4k, 4k + 4] of the a_ell_y integral: its Gauss-Legendre nodes
+    ts and weights, and Psi(-1/2 - it) and zeta(1 + 2it) at the nodes, from
+    the sums of `_aell_sums`; zeta takes one term count per block, the one
+    `zeta` takes at the largest node, plus its Euler-Maclaurin remainder."""
+    psi, head = _aell_sums(mellin)
+    lo = _AELL_BLOCK * k
+    edges = np.linspace(lo, lo + _AELL_BLOCK, _AELL_PANELS + 1)
+    ts, wt = (a.ravel() for a in _gauss_legendre(edges, _GL16))
+    n = int(_zeta_terms(2.0 * ts[-1]))
+    zeta_1_2it = _add_euler_maclaurin(head.block(lo, n - 1), 1.0 + 2j * ts, float(n))
+    return ts, wt, psi.block(lo, psi.lam.size), zeta_1_2it
 
 
-def _aell_profile(mellin: MellinTransform) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The blocks of `_aell_blocks(mellin)` as (ts, wt, profile), with profile
-    = Psi(-1/2 - it) * `_eisenstein_kernel`: the part of the a_ell_y integrand
-    that depends on neither ell nor y.
-
-    The blocks come from one table per transform, keyed on the transform
-    (equal bump and node count share one), grown from one `_aell_blocks`
-    generator as far as any caller has read and kept until
-    `_aell_profile.cache_clear()`.  Each iterator reads the table by index,
-    so iterators live at the same time each see every block in order.
-    """
-    if mellin not in _aell_profiles:
-        _aell_profiles[mellin] = ([], _aell_blocks(mellin))
-    done, source = _aell_profiles[mellin]
-    for k in itertools.count():
-        if k == len(done):
-            try:
-                block = next(source, None)
-            except BaseException:  # a table cut short would read as the end of the range
-                _aell_profiles.pop(mellin, None)
-                raise
-            if block is None:
-                return
-            ts, wt, psi, zeta_1_2it = block
-            done.append((ts, wt, psi * _eisenstein_kernel(ts, zeta_1_2it)))
-        yield done[k]
-
-
-# The t-profile of each transform used stays alive until this is called.
-_aell_profile.cache_clear = _aell_profiles.clear
+@functools.cache
+def _aell_profile(mellin: MellinTransform, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block k of `_aell_block` as (ts, wt, profile), with profile = Psi(-1/2
+    - it) * `_eisenstein_kernel`: the part of the a_ell_y integrand that
+    depends on neither ell nor y, built once per transform and block."""
+    ts, wt, psi, zeta_1_2it = _aell_block(mellin, k)
+    return ts, wt, psi * _eisenstein_kernel(ts, zeta_1_2it)
 
 
 def a_ell_y(
@@ -668,11 +667,11 @@ def a_ell_y(
     a_ell(y) = sqrt(y/pi) * integral over t of
         pi^{it} Psi(-1/2-it) / (Gamma(1/2+it) zeta(1+2it))
         * sum_{ab=|ell|} (a/b)^{it} * K_{it}(2 pi |ell| y) dt,
-    summed over t-blocks of width 4 (`_aell_blocks`) and truncated once two
+    summed over t-blocks of width 4 (`_aell_block`) and truncated once two
     consecutive blocks fall below the tolerance (the Mellin transform of the
     bump decays like exp(-c sqrt|t|), which dictates the range).  Everything
     but the Bessel values and the divisor sum is read from the process-wide
-    table of `_aell_profile`, keyed on `mellin` and emptied by
+    cache `_aell_profile`, keyed on `mellin` and the block and emptied by
     `_aell_profile.cache_clear()`: a process builds each block's profile
     once per bump, for the first point that reads that far.
     K_{it}/Gamma(1/2+it) is evaluated through the scaled Bessel values of
@@ -691,7 +690,8 @@ def a_ell_y(
 
     total = 0.0 + 0.0j
     quiet = 0
-    for k, (ts, wt, profile) in enumerate(_aell_profile(mellin)):
+    for k in range(_AELL_BLOCKS):
+        ts, wt, profile = _aell_profile(mellin, k)
         kvals = bessel_k_scaled_grid(ts, w)
         dsum = np.exp(1j * np.outer(ts, log_ratios)).sum(axis=1)
         contrib = complex(np.dot(wt, profile * dsum * kvals))

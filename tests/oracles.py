@@ -31,8 +31,9 @@ from shiftsieve.largesieve import big_h, build_omega, crt_residue
 from shiftsieve.shifted import PartitionSums
 from shiftsieve.specfun import (
     ToleranceError,
+    _AELL_BLOCKS,
     _AELL_T_CAP,
-    _aell_blocks,
+    _aell_block,
     _bessel_panels,
     _eisenstein_kernel,
     bessel_k_scaled_grid,
@@ -194,16 +195,17 @@ def aell_unfold(ell: int, y: float, bump) -> float:
 
 
 def a_ell_y_per_call(mellin, ell: int, y: float, tol: float = 1e-7) -> complex:
-    """`specfun.a_ell_y` with its t-profile rebuilt on every call: a fresh
-    `_aell_blocks` generator and `_eisenstein_kernel` per block, the loop
-    the process-wide profile table replaced, with the same stop rule and the
+    """`specfun.a_ell_y` with its t-profile rebuilt on every call: the
+    uncached `_aell_block` and `_eisenstein_kernel` per block, the loop the
+    process-wide profile cache replaced, with the same stop rule and the
     same order of floating-point operations."""
     aell = abs(ell)
     w = 2.0 * math.pi * aell * y
     log_ratios = np.array([math.log(a / (aell // a)) for a in arith.divisors(aell)])
     total = 0.0 + 0.0j
     quiet = 0
-    for k, (ts, wt, psi, zeta_1_2it) in enumerate(_aell_blocks(mellin)):
+    for k in range(_AELL_BLOCKS):
+        ts, wt, psi, zeta_1_2it = _aell_block(mellin, k)
         kvals = bessel_k_scaled_grid(ts, w)
         kernel = _eisenstein_kernel(ts, zeta_1_2it)
         dsum = np.exp(1j * np.outer(ts, log_ratios)).sum(axis=1)

@@ -50,8 +50,13 @@ def test_benchmark_traced_names_resolve():
 def test_every_cache_clear_takes_no_arguments(monkeypatch):
     """The benchmark resets the library between rounds by calling every
     module-level `cache_clear` with no arguments; each must accept that,
-    and clearing the per-weight eigenform memo makes the next call build
-    Delta again."""
+    clearing the per-weight eigenform memo makes the next call build Delta
+    again, and the a_ell_y block caches are left empty."""
+    from shiftsieve import qexpansion as qe
+    from shiftsieve import specfun as sf
+
+    sf.a_ell_y(sf.MellinTransform(), 1, 2.0, tol=1e-6)  # a few blocks to clear
+    assert sf._aell_profile.cache_info().currsize > 0
     cleared = []
     for name in MODULES:
         module = importlib.import_module(name)
@@ -60,8 +65,8 @@ def test_every_cache_clear_takes_no_arguments(monkeypatch):
                 value.cache_clear()
                 cleared.append(f"{name}.{attr}")
     assert "shiftsieve.qexpansion._largest_form" in cleared
-
-    from shiftsieve import qexpansion as qe
+    assert sf._aell_sums.cache_info().currsize == 0
+    assert sf._aell_profile.cache_info().currsize == 0
 
     builds = []
     real = qe.delta_qexp

@@ -180,6 +180,20 @@ class TestSpecfunCommand:
         assert rc == 0
         assert out.read_text().startswith("re,im,theta_re,theta_im,abs_phi")
 
+    def test_theta_far_from_the_real_axis(self, tmp_path):
+        # sin(pi s) overflows past |Im s| ~ 226; theta and |varphi| from
+        # mpmath 1.3.0 at 30 digits
+        rc, out = run(tmp_path, "t.csv", ["specfun", "theta", "--re=-1,0.25",
+                                          "--im", "300,1000"])
+        assert rc == 0
+        rows = {(r[0], r[1]): [float(v) for v in r[2:]]
+                for r in (line.split(",") for line in out.read_text().split()[1:])}
+        theta_re, theta_im, abs_phi = rows["-1", "300"]
+        assert theta_re == pytest.approx(1.581313087078996e-203, rel=1e-10)
+        assert theta_im == pytest.approx(-2.775802047779815e-203, rel=1e-10)
+        assert abs_phi == pytest.approx(9.402153169736472, rel=1e-10)
+        assert rows["0.25", "1000"][2] == pytest.approx(15.45117453050666, rel=1e-10)
+
     def test_gammaratio_exact_zeros(self, tmp_path):
         rc, out = run(
             tmp_path, "g.csv", ["specfun", "gammaratio", "--k", "100", "--s", "0,1"],
@@ -327,6 +341,63 @@ class TestBoundary:
         assert len(err) == 1
         assert "--k" in err[0] and "--Y" in err[0] and str(cli.WWEIGHT_ROWS_MAX) in err[0]
         assert max(len(d) for d in re.findall(r"\d+", err[0])) < 20
+
+    @staticmethod
+    def _refused_naming(capsys, out, option: str, cap=None) -> None:
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {option} ")
+        assert cap is None or str(cap) in err[0]
+        assert max(len(d) for d in re.findall(r"\d+", err[0])) < 20
+
+    @pytest.mark.parametrize("ell", ["100000000000000000", "1" + "0" * 320, "1,-1" + "0" * 320],
+                             ids=["past-factorize", "past-float", "late-in-list"])
+    def test_aell_ell_cap_refused_before_any_work(self, tmp_path, capsys, monkeypatch, ell):
+        def fail(*args, **kwargs):
+            raise AssertionError("work done")
+
+        monkeypatch.setattr(specfun, "a_ell_y", fail)
+        monkeypatch.setattr(arith, "prime_table", fail)
+        rc, out = run(tmp_path, "rej.csv", ["specfun", "aell", "--ell", ell, "--y", "0.3"])
+        assert rc == 1
+        self._refused_naming(capsys, out, "--ell", cli.AELL_ELL_MAX)
+
+    def test_aell_ell_cap_admits_the_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "AELL_ELL_MAX", 6)
+        rc, _ = run(tmp_path, "at.csv", ["specfun", "aell", "--ell", "-6", "--y", "0.3"])
+        assert rc == 0
+        self.rejected(tmp_path, capsys, ["specfun", "aell", "--ell", "7", "--y", "0.3"])
+
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_wweight_ell_past_float_range_refused_before_any_work(self, tmp_path, capsys,
+                                                                  monkeypatch, sign):
+        def fail(*args, **kwargs):
+            raise AssertionError("w_weight called")
+
+        monkeypatch.setattr(specfun, "w_weight", fail)
+        args = ["specfun", "wweight", "--k", "12", "--Y", "2", "--ell"]
+        rc, out = run(tmp_path, "rej.csv", args + [sign + "1" + "0" * 320])
+        assert rc == 1
+        self._refused_naming(capsys, out, "--ell")
+        # an --ell inside the float range is taken: no n reaches the peak
+        rc, out = run(tmp_path, "in.csv", args + [sign + "1" + "0" * 300])
+        assert rc == 0 and out.read_text() == "k,Y,n,w_weight,main_term,envelope\n"
+
+    @pytest.mark.parametrize("command", ["eigenform", "mk"])
+    @pytest.mark.parametrize("cutoff", ["100000000", "1" + "0" * 400], ids=["1e8", "1e400"])
+    def test_cutoff_cap_refused_before_any_product(self, tmp_path, capsys, monkeypatch,
+                                                   command, cutoff):
+        self._no_tables(monkeypatch)
+        rc, out = run(tmp_path, "rej.csv", [command, "--weight", "12", "--cutoff", cutoff])
+        assert rc == 1
+        self._refused_naming(capsys, out, "--cutoff", cli.CUTOFF_MAX)
+
+    @pytest.mark.parametrize("command", ["eigenform", "mk"])
+    def test_cutoff_cap_admits_the_cap(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "CUTOFF_MAX", 30)
+        rc, _ = run(tmp_path, "at.csv", [command, "--weight", "12", "--cutoff", "30"])
+        assert rc == 0
+        self.rejected(tmp_path, capsys, [command, "--weight", "12", "--cutoff", "31"])
 
     @staticmethod
     def _no_tables(monkeypatch):

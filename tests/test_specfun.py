@@ -73,6 +73,26 @@ class TestGamma:
         z = complex(1.3, 2.1)
         assert cgamma(z + 1) == pytest.approx(z * cgamma(z), rel=1e-12)
 
+    def test_reflection_far_from_the_real_axis(self):
+        # sin(pi z) leaves the float range past |Im z| ~ 226; log Gamma must
+        # match mpmath's loggamma there, up to a multiple of 2 pi i, by both
+        # the scalar and the array route
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(14)
+        zs = [complex(-1.0, 300.0), complex(0.25, 1000.0), complex(0.4999, -200.0),
+              complex(-3.5, 1e4)]
+        zs += [complex(rng.uniform(-20.0, 0.49),
+                       rng.choice((1, -1)) * math.exp(rng.uniform(math.log(200), math.log(1e4))))
+               for _ in range(200)]
+        vals = sf.clgamma(np.array(zs))
+        with mpmath.workdps(30):
+            refs = [complex(mpmath.loggamma(z)) for z in zs]
+        for z, val, ref in zip(zs, vals, refs):
+            for got in (sf.clgamma(z), val):
+                diff = got - ref
+                diff -= 2j * math.pi * round(diff.imag / (2.0 * math.pi))
+                assert abs(diff) <= 1e-13 * abs(ref), (z, got, ref)
+
 
 class TestBessel:
     def test_k0_against_decimal_series(self):
@@ -215,8 +235,13 @@ class TestAellBlocks:
     BLOCKS = (0, 1, 50, 174)
 
     def _blocks(self, mellin):
-        blocks = list(itertools.islice(sf._aell_blocks(mellin), self.BLOCKS[-1] + 1))
-        return [blocks[k] for k in self.BLOCKS]
+        return [sf._aell_block(mellin, k) for k in self.BLOCKS]
+
+    def test_blocks_cover_every_start_up_to_the_cap(self):
+        # the count the loop `while lo <= _AELL_T_CAP: lo += _AELL_BLOCK` gave
+        assert sf._AELL_BLOCKS == 176
+        assert sf._AELL_BLOCK * (sf._AELL_BLOCKS - 1) <= sf._AELL_T_CAP
+        assert sf._AELL_BLOCK * sf._AELL_BLOCKS > sf._AELL_T_CAP
 
     def test_block_nodes(self, mellin):
         for k, (ts, wt, _, _) in zip(self.BLOCKS, self._blocks(mellin)):
@@ -458,26 +483,28 @@ class TestAell:
 
 
 class TestAellProfile:
-    """The process-wide t-profile table that `a_ell_y` reads its ell- and
+    """The process-wide t-profile cache that `a_ell_y` reads its ell- and
     y-independent factors from, against the per-call loop it replaced."""
 
     @pytest.fixture(autouse=True)
-    def cold_table(self):
+    def cold_cache(self):
+        sf._aell_sums.cache_clear()
         sf._aell_profile.cache_clear()
         yield
+        sf._aell_sums.cache_clear()
         sf._aell_profile.cache_clear()
 
     @staticmethod
-    def count_block_sources(monkeypatch) -> list:
-        sources = []
-        real = sf._aell_blocks
+    def count_block_builds(monkeypatch) -> list:
+        builds = []
+        real = sf._aell_block
 
-        def counted(mellin):
-            sources.append(mellin)
-            return real(mellin)
+        def counted(mellin, k):
+            builds.append(k)
+            return real(mellin, k)
 
-        monkeypatch.setattr(sf, "_aell_blocks", counted)
-        return sources
+        monkeypatch.setattr(sf, "_aell_block", counted)
+        return builds
 
     def test_bitwise_equal_to_per_call_loop(self):
         # three transforms called interleaved, so no key can serve another's
@@ -495,57 +522,52 @@ class TestAellProfile:
         for (m, ell, y, tol), got in values.items():
             if ell < 0:
                 assert got == values[m, -ell, y, tol]
-        assert len(sf._aell_profiles) == 3
+        assert sf._aell_sums.cache_info().currsize == 3
+
+    def test_equal_transforms_share_one_entry(self, monkeypatch):
+        builds = self.count_block_builds(monkeypatch)
+        first = sf.a_ell_y(sf.MellinTransform(), 1, 0.3, tol=1e-6)
+        built = len(builds)
+        assert sf.a_ell_y(sf.MellinTransform(), 1, 0.3, tol=1e-6) == first
+        assert len(builds) == built
+        assert sf._aell_sums.cache_info().currsize == 1
+        assert sf._aell_profile.cache_info().currsize == built
 
     def test_cache_clear_rebuilds(self, monkeypatch):
-        sources = self.count_block_sources(monkeypatch)
+        builds = self.count_block_builds(monkeypatch)
         first = sf.a_ell_y(sf.MellinTransform(), 1, 0.3, tol=1e-6)
-        assert sf.a_ell_y(sf.MellinTransform(), 2, 0.2, tol=1e-6)
-        assert len(sources) == 1  # an equal transform shares the table
+        built = len(builds)
         # the benchmark's reset: every module-level cache_clear
         for value in list(vars(sf).values()):
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
-        assert not sf._aell_profiles
+        assert sf._aell_sums.cache_info().currsize == 0
+        assert sf._aell_profile.cache_info().currsize == 0
         assert sf.a_ell_y(sf.MellinTransform(), 1, 0.3, tol=1e-6) == first
-        assert len(sources) == 2
+        assert len(builds) == 2 * built
 
-    def test_two_iterators_alternating_see_every_block_in_order(self, mellin):
-        direct = list(itertools.islice(sf._aell_blocks(mellin), 6))
-        first, second = sf._aell_profile(mellin), sf._aell_profile(mellin)
-        seen = {id(first): [], id(second): []}
-        for it in (first, second, second, first, first, first, second, second, first, second):
-            seen[id(it)].append(next(it))
-        for blocks in seen.values():
-            assert len(blocks) == 5
-            for (ts, wt, profile), (ts0, wt0, psi, zeta_1_2it) in zip(blocks, direct):
-                assert np.array_equal(ts, ts0) and np.array_equal(wt, wt0)
-                assert np.array_equal(profile, psi * sf._eisenstein_kernel(ts0, zeta_1_2it))
-        assert all(a is b for a, b in zip(*seen.values()))
-        assert len(sf._aell_profiles[mellin][0]) == 5
-
-    def test_later_point_grows_the_table(self, mellin, monkeypatch):
-        sources = self.count_block_sources(monkeypatch)
+    def test_later_point_reuses_earlier_blocks(self, mellin, monkeypatch):
+        builds = self.count_block_builds(monkeypatch)
         sf.a_ell_y(mellin, 12, 0.5, tol=1e-6)  # w = 37.7: stops after a few blocks
-        table = sf._aell_profiles[mellin][0]
-        early = list(table)
+        early = [sf._aell_profile(mellin, k) for k in builds]
         sf.a_ell_y(mellin, 1, 0.3, tol=1e-6)  # w = 1.9: reads far further
-        assert len(sources) == 1
-        assert len(table) > len(early) + 10
-        assert all(a is b for a, b in zip(early, table))
+        assert builds == list(range(len(builds)))  # no block built twice
+        assert len(builds) > len(early) + 10
+        assert all(sf._aell_profile(mellin, k) is block for k, block in enumerate(early))
 
-    def test_failed_block_drops_the_table(self, mellin, monkeypatch):
-        # a table cut short by an exception must not pass for the whole range
-        real = sf._aell_blocks
+    def test_failed_block_leaves_no_entry(self, mellin, monkeypatch):
+        # a block that raises must not be cached, or a rerun would skip it
+        real = sf._aell_block
 
-        def failing(m):
-            yield from itertools.islice(real(m), 2)
-            raise MemoryError
+        def failing(m, k):
+            if k == 2:
+                raise MemoryError
+            return real(m, k)
 
-        monkeypatch.setattr(sf, "_aell_blocks", failing)
+        monkeypatch.setattr(sf, "_aell_block", failing)
         with pytest.raises(MemoryError):
             sf.a_ell_y(mellin, 1, 0.3, tol=1e-6)
-        assert mellin not in sf._aell_profiles
+        assert sf._aell_profile.cache_info().currsize == 2
         monkeypatch.undo()
         assert sf.a_ell_y(mellin, 1, 0.3, tol=1e-6) == a_ell_y_per_call(mellin, 1, 0.3, tol=1e-6)
 
