@@ -32,6 +32,9 @@ __all__ = [
     "SHIFTED_LIMIT_MAX",
     "CUTOFF_MAX",
     "AELL_ELL_MAX",
+    "THETA_RE_MAX",
+    "THETA_IM_MAX",
+    "GAMMARATIO_K_MAX",
 ]
 
 EXIT_OK = 0
@@ -61,6 +64,21 @@ CUTOFF_MAX = SHIFTED_LIMIT_MAX["weight"]
 # Largest |ell| `specfun aell` takes: its divisors come from trial division
 # by the primes up to arith.PRIME_TABLE_MAX.
 AELL_ELL_MAX = arith.PRIME_TABLE_MAX**2
+
+# Largest |Re s| `specfun theta` takes: theta(s) = pi^{-s} Gamma(s) zeta(2s)
+# leaves the float range near Re s = 219, and near Re s = -219 by theta(s) =
+# theta(1/2 - s).
+THETA_RE_MAX = 200
+
+# Largest |Im s| `specfun theta` takes: zeta sums 1.6 |Im s| + 20 terms of
+# zeta(2s) directly, about 100 bytes per unit of |Im s| at peak, so a budget
+# of 1 GiB (2-core x86 machine: 90 MB and 0.3 s at |Im s| = 1e6, 835 MB and
+# about 6 s a point at the cap).
+THETA_IM_MAX = (1 << 30) // 100
+
+# Largest `specfun gammaratio` --k: past 2^53 the float k - 1 that the
+# log-gamma route takes is no longer exact.
+GAMMARATIO_K_MAX = 2**53
 
 
 class UsageError(ValueError):
@@ -246,6 +264,10 @@ def _run_bessel(args: argparse.Namespace) -> int:
 
 
 def _run_theta(args: argparse.Namespace) -> int:
+    for option, values, cap in (("--re", args.re, THETA_RE_MAX), ("--im", args.im, THETA_IM_MAX)):
+        for value in values:
+            if abs(value) > cap:
+                raise UsageError(f"{option} {value:g} is above the cap of {cap} in absolute value")
     rows = []
     for re in args.re:
         for im in args.im:
@@ -288,10 +310,17 @@ def _run_wweight(args: argparse.Namespace) -> int:
 
 
 def _run_gammaratio(args: argparse.Namespace) -> int:
+    for k in args.k:
+        if k > GAMMARATIO_K_MAX:
+            raise UsageError(f"--k {_int_text(k)} is above the cap of {GAMMARATIO_K_MAX}")
     rows = []
     for k in args.k:
         for s in args.s:
-            chk = specfun.gamma_ratio_check(k, s)
+            try:
+                chk = specfun.gamma_ratio_check(k, s)
+            except OverflowError:
+                raise UsageError(f"--s {s} at --k {k} puts the Gamma ratio outside "
+                                 f"the float range") from None
             rows.append([k, s.real, s.imag, chk.error, chk.normalized])
     _write_rows(args, ["k", "s_re", "s_im", "error", "normalized"], rows)
     return EXIT_OK
@@ -301,6 +330,12 @@ def _run_aell(args: argparse.Namespace) -> int:
     for ell in args.ell:
         if abs(ell) > AELL_ELL_MAX:
             raise UsageError(f"--ell {_int_text(ell)} is above the cap of {AELL_ELL_MAX}")
+    for ell in args.ell:
+        for y_val in args.y:
+            w = 2.0 * math.pi * abs(ell) * y_val  # as a_ell_y takes it; it refuses ell = 0
+            if ell and not specfun.AELL_W_MIN <= w < math.inf:
+                raise UsageError(f"--y {y_val} at --ell {ell} puts w = 2 pi |ell| y = {w:.3g} "
+                                 f"outside [{specfun.AELL_W_MIN:.3g}, inf)")
     mellin = specfun.MellinTransform()
     rows = []
     for ell in args.ell:

@@ -12,7 +12,8 @@ Mellin transform, and the Laplace-form evaluation of the spectral weight
 W(n, ell; Y).  The Eisenstein coefficient integral evaluates its Mellin and
 zeta factors block by block as shifted exponential sums, a few small matrix
 products per block, and keeps the ell- and y-independent part of each block
-per bump in a `functools.cache` (`_aell_profile`).
+per bump in a `functools.cache` (`_aell_profile`); a point takes its Debye
+values and divisor sums once per chunk of 16 blocks.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -53,6 +55,7 @@ __all__ = [
     "gamma_ratio_check",
     "GammaRatioCheck",
     "BESSEL_ORDER_MAX",
+    "AELL_W_MIN",
 ]
 
 LN2PI = math.log(2.0 * math.pi)
@@ -354,6 +357,21 @@ def bessel_k_scaled_grid(ts: np.ndarray, w: float) -> np.ndarray:
     if w <= 0:
         raise ValueError(f"argument w must be positive, got {w}")
     t = np.abs(ts).ravel()
+    out, quadrature = _debye_split(t, w)
+    if quadrature.any():
+        out[quadrature] = _quadrature_scaled(t[quadrature], w)
+    return out.reshape(ts.shape)
+
+
+_DEBYE_TERMS = 10  # u_0 .. u_9 are summed; u_10 is the first omitted term
+_DEBYE_TOL = 1e-15  # bound on the first omitted term, a tenth of the 1e-14 aimed at
+
+
+def _debye_split(t: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """The switch between the two routes of `bessel_k_scaled_grid` over a
+    1-D array of orders t >= 0: (out, quadrature), where out holds the Debye
+    value of every order the expansion serves and quadrature marks the
+    others, whose entries of out are left unset."""
     out = np.empty_like(t)
     quadrature = np.ones(t.size, dtype=bool)
     # the expansion is tried only where sqrt(t^2 - w^2) > 1, which keeps
@@ -365,13 +383,7 @@ def bessel_k_scaled_grid(ts: np.ndarray, w: float) -> np.ndarray:
         debye = tried[omitted < _DEBYE_TOL]
         out[debye] = value[omitted < _DEBYE_TOL]
         quadrature[debye] = False
-    if quadrature.any():
-        out[quadrature] = _quadrature_scaled(t[quadrature], w)
-    return out.reshape(ts.shape)
-
-
-_DEBYE_TERMS = 10  # u_0 .. u_9 are summed; u_10 is the first omitted term
-_DEBYE_TOL = 1e-15  # bound on the first omitted term, a tenth of the 1e-14 aimed at
+    return out, quadrature
 
 
 @functools.cache
@@ -423,10 +435,13 @@ def _debye_scaled(t: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
     d = np.sqrt((t - w) * (t + w))
     p = t / d
     p2 = p * p
+    table = _debye_table()
     poly = np.zeros((_DEBYE_TERMS + 1, t.size))
-    for column in _debye_table().T[::-1]:  # Horner in p^2, every P_k at once
-        poly = poly * p2 + column[:, None]
-    terms = [(p / t) ** k * poly[k] for k in range(_DEBYE_TERMS + 1)]
+    for j in range(_DEBYE_TERMS, -1, -1):  # Horner in p^2, every P_k at once, in place
+        poly[j:] *= p2  # P_k has degree k in p^2, so rows k < j are still 0
+        poly[j:] += table[j:, j, None]
+    q = p / t
+    terms = [q**k * poly[k] for k in range(_DEBYE_TERMS + 1)]
     kept = _DEBYE_TERMS  # i^k cycles through 1, i, -1, -i
     real = sum(terms[0:kept:4]) - sum(terms[2:kept:4])
     imag = sum(terms[1:kept:4]) - sum(terms[3:kept:4])
@@ -580,6 +595,12 @@ _AELL_T_CAP = 700.0  # a_ell_y gives up past this t
 _AELL_BLOCK = 4.0  # t-width of a block of the a_ell_y integral
 _AELL_PANELS = 8  # Gauss-Legendre panels per block
 _AELL_BLOCKS = int(_AELL_T_CAP / _AELL_BLOCK) + 1  # 176, the last from t = 700
+_AELL_CHUNK = 16  # blocks whose Bessel values and divisor sums a_ell_y takes at once
+
+# The smallest w = 2 pi |ell| y that a_ell_y takes: its Bessel quadrature
+# divides about 3t by w at every order t up to the end of the last block
+# (t = 704), which leaves the float range below this (about 1.6e-305).
+AELL_W_MIN = 4.0 * _AELL_BLOCK * _AELL_BLOCKS / sys.float_info.max
 
 
 def _eisenstein_kernel(ts: np.ndarray, zeta_1_2it: np.ndarray) -> np.ndarray:
@@ -633,6 +654,17 @@ def _aell_sums(mellin: MellinTransform) -> tuple[_ShiftedSum, _ShiftedSum]:
     return psi, _ShiftedSum(2.0 * np.log(m), 1.0 / m, offsets, starts)
 
 
+def _aell_nodes(k: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of blocks k .. k + blocks - 1 of the
+    a_ell_y integral, block after block.  Every panel edge is a multiple of
+    1/2, exact in floating point, so a block has the same nodes bit for bit
+    whichever run of blocks they are built in."""
+    lo = _AELL_BLOCK * k
+    edges = np.linspace(lo, lo + _AELL_BLOCK * blocks, _AELL_PANELS * blocks + 1)
+    ts, wt = _gauss_legendre(edges, _GL16)
+    return ts.ravel(), wt.ravel()
+
+
 def _aell_block(mellin: MellinTransform, k: int) -> tuple[np.ndarray, ...]:
     """Block [4k, 4k + 4] of the a_ell_y integral: its Gauss-Legendre nodes
     ts and weights, and Psi(-1/2 - it) and zeta(1 + 2it) at the nodes, from
@@ -640,8 +672,7 @@ def _aell_block(mellin: MellinTransform, k: int) -> tuple[np.ndarray, ...]:
     `zeta` takes at the largest node, plus its Euler-Maclaurin remainder."""
     psi, head = _aell_sums(mellin)
     lo = _AELL_BLOCK * k
-    edges = np.linspace(lo, lo + _AELL_BLOCK, _AELL_PANELS + 1)
-    ts, wt = (a.ravel() for a in _gauss_legendre(edges, _GL16))
+    ts, wt = _aell_nodes(k, 1)
     n = int(_zeta_terms(2.0 * ts[-1]))
     zeta_1_2it = _add_euler_maclaurin(head.block(lo, n - 1), 1.0 + 2j * ts, float(n))
     return ts, wt, psi.block(lo, psi.lam.size), zeta_1_2it
@@ -676,9 +707,14 @@ def a_ell_y(
     once per bump, for the first point that reads that far.
     K_{it}/Gamma(1/2+it) is evaluated through the scaled Bessel values of
     `bessel_k_scaled_grid`, so large orders stay numerically clean; past
-    the Debye switch they cost a formula, not a quadrature.  The integrand
-    at -t is the conjugate of the value at t, hence the integral is twice
-    the real part over t >= 0 and the result is real.
+    the Debye switch they cost a formula, not a quadrature.  The Debye
+    values and the divisor sums are taken once per chunk of _AELL_CHUNK
+    blocks (t-width 64), held only for the call, and the quadrature once
+    per block read, over that block's other orders: each value is the one
+    `bessel_k_scaled_grid` gives per block, bit for bit.  A w = 2 pi |ell| y
+    below AELL_W_MIN, or past the float range, is refused before any block.
+    The integrand at -t is the conjugate of the value at t, hence the
+    integral is twice the real part over t >= 0 and the result is real.
     """
     if not math.isfinite(y) or y <= 0:
         raise ValueError(f"y must be positive and finite, got {y}")
@@ -686,15 +722,25 @@ def a_ell_y(
         raise ValueError("ell must be nonzero")
     aell = abs(ell)
     w = 2.0 * math.pi * aell * y
+    if not AELL_W_MIN <= w < math.inf:
+        raise ValueError(f"w = 2 pi |ell| y = {w:.3g} overflows the Bessel quadrature; "
+                         f"it needs {AELL_W_MIN:.3g} <= w < inf")
     log_ratios = np.array([math.log(a / (aell // a)) for a in divisors(aell)])
 
     total = 0.0 + 0.0j
     quiet = 0
     for k in range(_AELL_BLOCKS):
+        at = k % _AELL_CHUNK
+        if at == 0:
+            chunk_ts, _ = _aell_nodes(k, _AELL_CHUNK)
+            chunk_kvals, chunk_quadrature = _debye_split(chunk_ts, w)
+            chunk_dsums = np.exp(1j * np.outer(chunk_ts, log_ratios)).sum(axis=1)
         ts, wt, profile = _aell_profile(mellin, k)
-        kvals = bessel_k_scaled_grid(ts, w)
-        dsum = np.exp(1j * np.outer(ts, log_ratios)).sum(axis=1)
-        contrib = complex(np.dot(wt, profile * dsum * kvals))
+        block = slice(at * ts.size, (at + 1) * ts.size)
+        kvals, quadrature = chunk_kvals[block], chunk_quadrature[block]
+        if quadrature.any():
+            kvals[quadrature] = _quadrature_scaled(ts[quadrature], w)
+        contrib = complex(np.dot(wt, profile * chunk_dsums[block] * kvals))
         total += contrib
         if abs(contrib) < tol / 8.0:
             quiet += 1

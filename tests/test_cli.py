@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import stat
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -443,6 +445,54 @@ class TestBoundary:
         monkeypatch.undo()
         self._no_tables(monkeypatch)
         self.rejected(tmp_path, capsys, ["sievecheck", "--count", over, "--seed", "5"])
+
+    @pytest.mark.parametrize("args, option", [
+        (["aell", "--ell", "1", "--y", "1e-307"], "--y"),
+        (["aell", "--ell", "1,2", "--y", "0.3,1e-306", "--A", "0", "--eps", "0"], "--y"),
+        (["aell", "--ell", "40000000000000000", "--y", "1e300"], "--y"),
+        (["theta", "--re", "0.5", "--im", "1e300"], "--im"),
+        (["theta", "--re", "0.5", "--im", "2,-1e18"], "--im"),
+        (["theta", "--re", "1e300", "--im", "1"], "--re"),
+        (["theta", "--re", "2,-250", "--im", "1"], "--re"),
+        (["gammaratio", "--k", "1" + "0" * 320, "--s", "1"], "--k"),
+        (["gammaratio", "--k", "100,1" + "0" * 200, "--s", "1+1j"], "--k"),
+        (["gammaratio", "--k", "12", "--s", "1e300"], "--s"),
+    ], ids=["aell-tiny-y", "aell-y-below-w-floor", "aell-w-past-float", "theta-im-1e300",
+            "theta-im-1e18", "theta-re-1e300", "theta-re-negative", "gammaratio-k-321-digits",
+            "gammaratio-k-1e200", "gammaratio-s-1e300"])
+    def test_refused_in_one_line_without_warnings(self, tmp_path, capsys, monkeypatch,
+                                                  args, option):
+        def fail(*args, **kwargs):
+            raise AssertionError("work done")
+
+        monkeypatch.setattr(specfun, "a_ell_y", fail)
+        monkeypatch.setattr(specfun, "zeta", fail)  # theta must not allocate the sum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = run(tmp_path, "rej.csv", ["specfun"] + args)
+        assert rc == 1
+        self._refused_naming(capsys, out, option)
+
+    def test_theta_caps_admit_the_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "THETA_RE_MAX", 3)
+        monkeypatch.setattr(cli, "THETA_IM_MAX", 5)
+        rc, _ = run(tmp_path, "at.csv", ["specfun", "theta", "--re=-3,3", "--im=-5,5"])
+        assert rc == 0
+        self.rejected(tmp_path, capsys, ["specfun", "theta", "--re", "3.5", "--im", "1"])
+        self.rejected(tmp_path, capsys, ["specfun", "theta", "--re", "2", "--im=-5.5"])
+
+    def test_gammaratio_k_cap_admits_the_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "GAMMARATIO_K_MAX", 100)
+        rc, _ = run(tmp_path, "at.csv", ["specfun", "gammaratio", "--k", "100", "--s", "1+1j"])
+        assert rc == 0
+        self.rejected(tmp_path, capsys, ["specfun", "gammaratio", "--k", "101", "--s", "1+1j"])
+
+    def test_aell_w_floor_admits_the_floor(self, tmp_path, capsys):
+        floor = 2.4930857834148828e-306  # the smallest y with 2 pi y >= specfun.AELL_W_MIN
+        args = ["specfun", "aell", "--ell", "1", "--A", "0", "--eps", "0", "--y"]
+        rc, _ = run(tmp_path, "at.csv", args + [repr(floor)])
+        assert rc == 0
+        self.rejected(tmp_path, capsys, args + [repr(math.nextafter(floor, 0.0))])
 
     @pytest.mark.parametrize("exc", [specfun.ToleranceError("tail"), OverflowError("big"),
                                      ArithmeticError("guard"), MemoryError(),

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -570,6 +571,97 @@ class TestAellProfile:
         assert sf._aell_profile.cache_info().currsize == 2
         monkeypatch.undo()
         assert sf.a_ell_y(mellin, 1, 0.3, tol=1e-6) == a_ell_y_per_call(mellin, 1, 0.3, tol=1e-6)
+
+
+class TestAellChunks:
+    """The Debye values and divisor sums that `a_ell_y` takes per chunk of
+    blocks, against the per-block loop of `a_ell_y_per_call`."""
+
+    # (ell, y, tol) with the last block read: at the end of a chunk, at the
+    # start of the next one, in mid-chunk; two whose first chunk has blocks
+    # of both routes (w = 22.6 and 18.8); and ell = 1e10 (w = 1.9e10)
+    POINTS = (
+        (1, 0.5, 1e-6, 95),
+        (3, 0.2, 1e-6, 80),
+        (2, 0.1, 1e-6, 88),
+        (30, 0.12, 1e-6, 89),
+        (100, 0.03, 1e-6, 90),
+        (10**10, 0.3, 1e-6, 2),
+    )
+
+    @staticmethod
+    def record(monkeypatch, name) -> list:
+        """The arguments of each call of specfun.<name>, into the list returned."""
+        calls = []
+        real = getattr(sf, name)
+
+        def recorded(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sf, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize("ell, y, tol, last", POINTS,
+                             ids=["chunk-end", "chunk-start", "mid-chunk", "mixed-30",
+                                  "mixed-100", "no-debye"])
+    def test_bitwise_equal_to_per_call_loop(self, mellin, monkeypatch, ell, y, tol, last):
+        reads = self.record(monkeypatch, "_aell_profile")
+        got = sf.a_ell_y(mellin, ell, y, tol)
+        assert [k for _, k in reads] == list(range(last + 1))
+        assert got == a_ell_y_per_call(mellin, ell, y, tol)
+
+    def test_first_chunks_named_mixed_take_both_routes(self):
+        for ell, y, _, _ in self.POINTS[3:5]:
+            ts, _ = sf._aell_nodes(0, sf._AELL_CHUNK)
+            _, quadrature = sf._debye_split(ts, 2.0 * math.pi * ell * y)
+            per_block = quadrature.reshape(sf._AELL_CHUNK, -1)
+            assert per_block[0].all() and not per_block[-1].all()
+        ts, _ = sf._aell_nodes(0, sf._AELL_BLOCKS)
+        assert sf._debye_split(ts, 2.0 * math.pi * 10**10 * 0.3)[1].all()
+
+    def test_chunk_nodes_are_the_block_nodes(self, mellin):
+        ts, wt = sf._aell_nodes(0, sf._AELL_BLOCKS)
+        for k in (0, 15, 16, 100, sf._AELL_BLOCKS - 1):
+            block_ts, block_wt, _ = sf._aell_profile(mellin, k)
+            assert np.array_equal(ts[128 * k:128 * (k + 1)], block_ts)
+            assert np.array_equal(wt[128 * k:128 * (k + 1)], block_wt)
+
+    @pytest.mark.parametrize("ell, y", [(1, 0.3), (12, 0.25), (30, 0.12), (6, 1.0)])
+    def test_debye_once_per_chunk_and_quadrature_as_per_block(self, mellin, monkeypatch,
+                                                                ell, y):
+        reads = self.record(monkeypatch, "_aell_profile")
+        debye = self.record(monkeypatch, "_debye_scaled")
+        quadrature = self.record(monkeypatch, "_quadrature_scaled")
+        sf.a_ell_y(mellin, ell, y, 1e-6)
+        chunks = {k // sf._AELL_CHUNK for _, k in reads}
+        assert len(debye) <= len(chunks)
+        chunked = list(quadrature)
+        quadrature.clear()
+        a_ell_y_per_call(mellin, ell, y, 1e-6)
+        assert len(chunked) == len(quadrature) > 0
+        for (t, w), (t_ref, w_ref) in zip(chunked, quadrature):
+            assert w == w_ref and t.dtype == t_ref.dtype and np.array_equal(t, t_ref)
+
+    @pytest.mark.parametrize("ell, y", [(1, 1e-307), (1, 2.4930857834148824e-306),
+                                        (4 * 10**16, 1e300)],
+                             ids=["tiny", "below-floor", "past-float"])
+    def test_w_outside_the_quadrature_range_refused_before_any_block(self, mellin,
+                                                                     monkeypatch, ell, y):
+        reads = self.record(monkeypatch, "_aell_profile")
+        with pytest.raises(ValueError, match="w = 2 pi"):
+            sf.a_ell_y(mellin, ell, y)
+        assert reads == []
+
+    def test_w_floor_admitted(self, mellin):
+        # the smallest y with 2 pi y >= AELL_W_MIN; no overflow over the t-range
+        y = 2.4930857834148828e-306
+        assert 2.0 * math.pi * y >= sf.AELL_W_MIN > 2.0 * math.pi * np.nextafter(y, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ts, _ = sf._aell_nodes(0, sf._AELL_BLOCKS)
+            assert np.isfinite(sf.bessel_k_scaled_grid(ts, sf.AELL_W_MIN)).all()
+            assert sf.a_ell_y(mellin, 1, y, tol=1e-6) == a_ell_y_per_call(mellin, 1, y, 1e-6)
 
 
 class TestWWeight:
