@@ -66,7 +66,10 @@ CUTOFF_MAX = SHIFTED_LIMIT_MAX["weight"]
 AELL_ELL_MAX = arith.PRIME_TABLE_MAX**2
 
 # Largest |Re s| `specfun theta` takes: theta(s) = pi^{-s} Gamma(s) zeta(2s)
-# leaves the float range near Re s = 219, and near Re s = -219 by theta(s) =
+# leaves the float range near Re s = 219.  The cap bounds only that side:
+# on the negative side `specfun.zeta` overflows well before theta does
+# (from about Re s = -100 at Im s = 0.5, earlier as |Im s| grows), and
+# theta there comes out nan, since theta_s does not apply theta(s) =
 # theta(1/2 - s).
 THETA_RE_MAX = 200
 
@@ -332,10 +335,11 @@ def _run_aell(args: argparse.Namespace) -> int:
             raise UsageError(f"--ell {_int_text(ell)} is above the cap of {AELL_ELL_MAX}")
     for ell in args.ell:
         for y_val in args.y:
-            w = 2.0 * math.pi * abs(ell) * y_val  # as a_ell_y takes it; it refuses ell = 0
-            if ell and not specfun.AELL_W_MIN <= w < math.inf:
-                raise UsageError(f"--y {y_val} at --ell {ell} puts w = 2 pi |ell| y = {w:.3g} "
-                                 f"outside [{specfun.AELL_W_MIN:.3g}, inf)")
+            if ell:  # a_ell_y refuses ell = 0 itself
+                try:
+                    specfun.check_aell_w(ell, y_val)
+                except ValueError as exc:
+                    raise UsageError(f"--y {y_val} at --ell {ell}: {exc}") from None
     mellin = specfun.MellinTransform()
     rows = []
     for ell in args.ell:

@@ -13,7 +13,7 @@ W(n, ell; Y).  The Eisenstein coefficient integral evaluates its Mellin and
 zeta factors block by block as shifted exponential sums, a few small matrix
 products per block, and keeps the ell- and y-independent part of each block
 per bump in a `functools.cache` (`_aell_profile`); a point takes its Debye
-values and divisor sums once per chunk of 16 blocks.
+values and divisor sums once per chunk of up to 16 blocks.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ __all__ = [
     "GammaRatioCheck",
     "BESSEL_ORDER_MAX",
     "AELL_W_MIN",
+    "check_aell_w",
 ]
 
 LN2PI = math.log(2.0 * math.pi)
@@ -595,12 +596,38 @@ _AELL_T_CAP = 700.0  # a_ell_y gives up past this t
 _AELL_BLOCK = 4.0  # t-width of a block of the a_ell_y integral
 _AELL_PANELS = 8  # Gauss-Legendre panels per block
 _AELL_BLOCKS = int(_AELL_T_CAP / _AELL_BLOCK) + 1  # 176, the last from t = 700
-_AELL_CHUNK = 16  # blocks whose Bessel values and divisor sums a_ell_y takes at once
+_AELL_CHUNK = 16  # most blocks whose Bessel values and divisor sums a_ell_y takes at once
+_AELL_DSUM_CELLS = 1 << 14  # (node, divisor) terms a divisor-sum pass holds, past one block
+
+
+def _aell_chunk_edges() -> tuple[int, ...]:
+    """The first block of each chunk of a_ell_y, and _AELL_BLOCKS: blocks
+    0-2, which every point reads (the stop needs k >= 2), then chunks that
+    end at the next multiple of _AELL_CHUNK but are no longer than all before
+    them together.  A point that reads n blocks thus evaluates at most 2n."""
+    edges = [0, 3]
+    while edges[-1] < _AELL_BLOCKS:
+        lo = edges[-1]
+        edges.append(min(2 * lo, (lo // _AELL_CHUNK + 1) * _AELL_CHUNK, _AELL_BLOCKS))
+    return tuple(edges)
+
+
+_AELL_CHUNK_EDGES = _aell_chunk_edges()  # 0, 3, 6, 12, 16, 32, 48, ..., 160, 176
 
 # The smallest w = 2 pi |ell| y that a_ell_y takes: its Bessel quadrature
 # divides about 3t by w at every order t up to the end of the last block
 # (t = 704), which leaves the float range below this (about 1.6e-305).
 AELL_W_MIN = 4.0 * _AELL_BLOCK * _AELL_BLOCKS / sys.float_info.max
+
+
+def check_aell_w(ell: int, y: float) -> float:
+    """w = 2 pi |ell| y as a_ell_y takes it, or ValueError if it lies below
+    AELL_W_MIN or past the float range.  ell must be nonzero."""
+    w = 2.0 * math.pi * abs(ell) * y
+    if not AELL_W_MIN <= w < math.inf:
+        raise ValueError(f"w = 2 pi |ell| y = {w:.3g} is outside [{AELL_W_MIN:.3g}, inf), "
+                         f"where the Bessel quadrature stays in the float range")
+    return w
 
 
 def _eisenstein_kernel(ts: np.ndarray, zeta_1_2it: np.ndarray) -> np.ndarray:
@@ -665,6 +692,16 @@ def _aell_nodes(k: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
     return ts.ravel(), wt.ravel()
 
 
+def _divisor_sums(ts: np.ndarray, log_ratios: np.ndarray) -> np.ndarray:
+    """sum over ab = |ell| of (a/b)^{it} at each node t, from log_ratios =
+    log(a/b), a block at a time or as many blocks as _AELL_DSUM_CELLS terms
+    hold; each row is summed alone, so any split gives the same values."""
+    block = _AELL_PANELS * _GL16[0].size  # nodes per block
+    rows = block * max(1, _AELL_DSUM_CELLS // (block * log_ratios.size))
+    return np.concatenate([np.exp(1j * np.outer(ts[i:i + rows], log_ratios)).sum(axis=1)
+                           for i in range(0, ts.size, rows)])
+
+
 def _aell_block(mellin: MellinTransform, k: int) -> tuple[np.ndarray, ...]:
     """Block [4k, 4k + 4] of the a_ell_y integral: its Gauss-Legendre nodes
     ts and weights, and Psi(-1/2 - it) and zeta(1 + 2it) at the nodes, from
@@ -708,11 +745,12 @@ def a_ell_y(
     K_{it}/Gamma(1/2+it) is evaluated through the scaled Bessel values of
     `bessel_k_scaled_grid`, so large orders stay numerically clean; past
     the Debye switch they cost a formula, not a quadrature.  The Debye
-    values and the divisor sums are taken once per chunk of _AELL_CHUNK
-    blocks (t-width 64), held only for the call, and the quadrature once
-    per block read, over that block's other orders: each value is the one
-    `bessel_k_scaled_grid` gives per block, bit for bit.  A w = 2 pi |ell| y
-    below AELL_W_MIN, or past the float range, is refused before any block.
+    values and the divisor sums are taken once per chunk of up to
+    _AELL_CHUNK blocks (t-width 64, `_aell_chunk_edges`), held only for
+    the call, and the quadrature once per block read,
+    over that block's other orders: each value is the one
+    `bessel_k_scaled_grid` gives per block, bit for bit.  A w outside
+    `check_aell_w` is refused before any block.
     The integrand at -t is the conjugate of the value at t, hence the
     integral is twice the real part over t >= 0 and the result is real.
     """
@@ -720,23 +758,22 @@ def a_ell_y(
         raise ValueError(f"y must be positive and finite, got {y}")
     if ell == 0:
         raise ValueError("ell must be nonzero")
+    w = check_aell_w(ell, y)
     aell = abs(ell)
-    w = 2.0 * math.pi * aell * y
-    if not AELL_W_MIN <= w < math.inf:
-        raise ValueError(f"w = 2 pi |ell| y = {w:.3g} overflows the Bessel quadrature; "
-                         f"it needs {AELL_W_MIN:.3g} <= w < inf")
     log_ratios = np.array([math.log(a / (aell // a)) for a in divisors(aell)])
 
     total = 0.0 + 0.0j
     quiet = 0
+    edges = iter(_AELL_CHUNK_EDGES[1:])
+    start = end = 0
     for k in range(_AELL_BLOCKS):
-        at = k % _AELL_CHUNK
-        if at == 0:
-            chunk_ts, _ = _aell_nodes(k, _AELL_CHUNK)
+        if k == end:
+            start, end = k, next(edges)
+            chunk_ts, _ = _aell_nodes(start, end - start)
             chunk_kvals, chunk_quadrature = _debye_split(chunk_ts, w)
-            chunk_dsums = np.exp(1j * np.outer(chunk_ts, log_ratios)).sum(axis=1)
+            chunk_dsums = _divisor_sums(chunk_ts, log_ratios)
         ts, wt, profile = _aell_profile(mellin, k)
-        block = slice(at * ts.size, (at + 1) * ts.size)
+        block = slice((k - start) * ts.size, (k - start + 1) * ts.size)
         kvals, quadrature = chunk_kvals[block], chunk_quadrature[block]
         if quadrature.any():
             kvals[quadrature] = _quadrature_scaled(ts[quadrature], w)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from shiftsieve import specfun as sf
+from shiftsieve.arith import divisors
 
 from .oracles import (
     a_ell_y_per_call,
@@ -577,9 +579,10 @@ class TestAellChunks:
     """The Debye values and divisor sums that `a_ell_y` takes per chunk of
     blocks, against the per-block loop of `a_ell_y_per_call`."""
 
-    # (ell, y, tol) with the last block read: at the end of a chunk, at the
-    # start of the next one, in mid-chunk; two whose first chunk has blocks
-    # of both routes (w = 22.6 and 18.8); and ell = 1e10 (w = 1.9e10)
+    # (ell, y, tol) with the last block read at the end, the start and the
+    # middle of the chunk of blocks 80-95; two with a chunk
+    # that has blocks of both routes (w = 22.6 and 18.8); and ell = 1e10 (w =
+    # 1.9e10), which stops at the end of the first chunk (0-2)
     POINTS = (
         (1, 0.5, 1e-6, 95),
         (3, 0.2, 1e-6, 80),
@@ -588,6 +591,8 @@ class TestAellChunks:
         (100, 0.03, 1e-6, 90),
         (10**10, 0.3, 1e-6, 2),
     )
+    # 2^4 3^2 5 7 11 13 17 19, with 960 divisors
+    HIGHLY_DIVISIBLE = 232792560
 
     @staticmethod
     def record(monkeypatch, name) -> list:
@@ -611,14 +616,50 @@ class TestAellChunks:
         assert [k for _, k in reads] == list(range(last + 1))
         assert got == a_ell_y_per_call(mellin, ell, y, tol)
 
-    def test_first_chunks_named_mixed_take_both_routes(self):
-        for ell, y, _, _ in self.POINTS[3:5]:
-            ts, _ = sf._aell_nodes(0, sf._AELL_CHUNK)
-            _, quadrature = sf._debye_split(ts, 2.0 * math.pi * ell * y)
-            per_block = quadrature.reshape(sf._AELL_CHUNK, -1)
-            assert per_block[0].all() and not per_block[-1].all()
+    def test_chunks_named_mixed_take_both_routes(self):
+        edges = sf._AELL_CHUNK_EDGES
+        for ell, y, _, last in self.POINTS[3:5]:
+            mixed = []
+            for lo, hi in zip(edges, edges[1:]):
+                ts, _ = sf._aell_nodes(lo, hi - lo)
+                _, quadrature = sf._debye_split(ts, 2.0 * math.pi * ell * y)
+                per_block = quadrature.reshape(hi - lo, -1)
+                if per_block[0].all() and not per_block[-1].all():
+                    mixed.append(lo)
+            assert mixed and mixed[0] <= last
         ts, _ = sf._aell_nodes(0, sf._AELL_BLOCKS)
         assert sf._debye_split(ts, 2.0 * math.pi * 10**10 * 0.3)[1].all()
+
+    def test_chunk_edges_at_most_double_the_blocks_read(self):
+        edges = sf._AELL_CHUNK_EDGES
+        assert edges[:2] == (0, 3) and edges[-1] == sf._AELL_BLOCKS
+        for lo, hi in zip(edges[1:], edges[2:]):
+            assert 0 < hi - lo <= min(lo, sf._AELL_CHUNK)
+        assert max(b - a for a, b in zip(edges, edges[1:])) == sf._AELL_CHUNK
+
+    def test_early_stop_builds_only_the_first_chunk(self, mellin, monkeypatch):
+        nodes = self.record(monkeypatch, "_aell_nodes")
+        sf.a_ell_y(mellin, 10**10, 0.3, 1e-6)
+        assert nodes == [(0, 3)]
+
+    def test_divisor_sums_split_by_cells_equal_one_pass(self):
+        ts, _ = sf._aell_nodes(0, sf._AELL_CHUNK)
+        for ell in (1, 6, 720720, self.HIGHLY_DIVISIBLE):
+            log_ratios = np.array([math.log(a / (ell // a)) for a in divisors(ell)])
+            whole = np.exp(1j * np.outer(ts, log_ratios)).sum(axis=1)
+            assert np.array_equal(sf._divisor_sums(ts, log_ratios), whole)
+
+    def test_divisor_sums_of_highly_divisible_ell_a_block_at_a_time(self, mellin):
+        # 128 x 960 complex terms take 2 MB a matrix; a 16-block chunk at once would take 31 MB
+        sf.a_ell_y(mellin, 1, 0.3, 1e-6)  # the profile blocks, outside the measure
+        tracemalloc.start()
+        try:
+            value = sf.a_ell_y(mellin, self.HIGHLY_DIVISIBLE, 0.3, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert value == a_ell_y_per_call(mellin, self.HIGHLY_DIVISIBLE, 0.3, 1e-6)
 
     def test_chunk_nodes_are_the_block_nodes(self, mellin):
         ts, wt = sf._aell_nodes(0, sf._AELL_BLOCKS)
@@ -634,8 +675,8 @@ class TestAellChunks:
         debye = self.record(monkeypatch, "_debye_scaled")
         quadrature = self.record(monkeypatch, "_quadrature_scaled")
         sf.a_ell_y(mellin, ell, y, 1e-6)
-        chunks = {k // sf._AELL_CHUNK for _, k in reads}
-        assert len(debye) <= len(chunks)
+        last = max(k for _, k in reads)
+        assert len(debye) <= sum(lo <= last for lo in sf._AELL_CHUNK_EDGES)
         chunked = list(quadrature)
         quadrature.clear()
         a_ell_y_per_call(mellin, ell, y, 1e-6)
