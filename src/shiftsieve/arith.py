@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "prime_table",
     "factorize",
-    "euler_phi",
     "tau",
     "tau_m",
     "divisors",
@@ -175,13 +174,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if rem > 1:
         out.append((rem, 1))
     return out
-
-
-def euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in factorize(n):
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
 
 
 def tau_m(n: int, m: int = 2) -> int:

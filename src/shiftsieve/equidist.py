@@ -279,7 +279,6 @@ class Corollary3Report:
     ems_lhs: float
     ems_rhs: float
     ems_holds: bool
-    r_k_available: bool = False  # central-value integral out of scope
 
 
 def corollary3_report(form: EigenForm, cutoff: int) -> Corollary3Report:

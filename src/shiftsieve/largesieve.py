@@ -16,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import euler_phi, factorize, prime_table
+from .arith import factorize, prime_table
 
 __all__ = [
     "OmegaSystem",
@@ -25,8 +25,6 @@ __all__ = [
     "build_omega",
     "big_h",
     "ls_bound",
-    "h_divisor_subsum",
-    "h_lower_bound_ratio",
     "sift_bruteforce",
     "random_admissible_system",
     "BRUTE_FORCE_MAX",
@@ -139,10 +137,9 @@ def build_omega(
     )
 
 
-def _squarefree_h_sum(Q: float, sys: OmegaSystem, primes: list[int]) -> Fraction:
-    """Sum of h(q) over square-free q <= Q built from the ascending `primes`,
-    exact.  Depth-first enumeration, pruned as soon as the partial product
-    exceeds Q.
+def big_h(Q: float, sys: OmegaSystem) -> Fraction:
+    """H = sum of h(q) over square-free q <= Q with primes in P, exact, by
+    depth-first enumeration pruned as soon as the partial product exceeds Q.
 
     Over the common denominator L = prod (p - omega(p)) of the primes <= Q,
     L h(q) = prod_{p | q} omega(p) * prod_{p not dividing q} (p - omega(p))
@@ -152,7 +149,7 @@ def _squarefree_h_sum(Q: float, sys: OmegaSystem, primes: list[int]) -> Fraction
     """
     if not Q >= 1:  # NaN included: no q <= Q, but q = 1 would be counted
         raise ValueError(f"Q must be >= 1, got {Q}")
-    primes = [p for p in primes if p <= Q]
+    primes = [p for p in sys.primes if p <= Q]
     omegas = [len(sys.omega[p]) for p in primes]
     dens = [p - w for p, w in zip(primes, omegas)]
     big_l = math.prod(dens)
@@ -170,36 +167,10 @@ def _squarefree_h_sum(Q: float, sys: OmegaSystem, primes: list[int]) -> Fraction
     return Fraction(total, big_l)
 
 
-def big_h(Q: float, sys: OmegaSystem) -> Fraction:
-    """H = sum of h(q) over square-free q <= Q with primes in P, exact."""
-    return _squarefree_h_sum(Q, sys, sys.primes)
-
-
 def ls_bound(sys: OmegaSystem, Q: float) -> float:
     """(N + Q^2)/H, the large-sieve bound on the sifted count."""
     h = big_h(Q, sys)
     return float((sys.n_range + Q * Q) / float(h))
-
-
-def h_divisor_subsum(Q: float, sys: OmegaSystem) -> Fraction:
-    """Sum of h(q) restricted to square-free q <= Q dividing a*a_ell.
-
-    Term-by-term positivity makes this a lower bound for H; the quotient
-    against H is what the classical lower-bound argument wedges open.
-    """
-    return _squarefree_h_sum(Q, sys, [p for p in sys.primes if (sys.a * sys.a_ell) % p == 0])
-
-
-def h_lower_bound_ratio(Q: float, sys: OmegaSystem) -> float:
-    """Empirical H / [(phi(a a_ell)/(a a_ell)) (log z)^2].
-
-    The classical estimate hides an absolute constant, so this quotient is
-    reported for inspection, never asserted against a constant.
-    """
-    aa = sys.a * sys.a_ell
-    density = euler_phi(aa) / aa
-    log_z = max(math.log(sys.z), 1e-9)
-    return float(big_h(Q, sys)) / (density * log_z * log_z)
 
 
 def sift_bruteforce(sys: OmegaSystem) -> int:

@@ -61,9 +61,6 @@ class QExpansion:
             raise IndexError(f"coefficient index {n} outside [0, {self.cutoff}]")
         return self.coeffs[n]
 
-    def is_cusp(self) -> bool:
-        return self.coeffs[0] == 0
-
     def truncate(self, cutoff: int) -> "QExpansion":
         if cutoff < 0:
             raise ValueError(f"cutoff must be >= 0, got {cutoff}")

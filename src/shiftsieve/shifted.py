@@ -11,7 +11,6 @@ accumulations use math.fsum.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from math import comb, fsum, gcd
@@ -241,28 +240,6 @@ class ShiftedSumReport:
     rhs: float
     ratio: float
     params: SievingParameters
-
-    def to_json(self) -> str:
-        payload = {
-            "x": self.x,
-            "ell": self.ell,
-            "epsilon": self.epsilon,
-            "s_total": self.s_total,
-            "s_big": self.s_big,
-            "s_small": self.s_small,
-            "overlap": self.overlap,
-            "m_of_x": self.m_of_x,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "params": {
-                "s": self.params.s,
-                "z": self.params.z,
-                "y": self.params.y,
-                "Q": self.params.Q,
-                "below_paper_threshold": self.params.below_paper_threshold,
-            },
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 REPORT_CSV_COLUMNS = (

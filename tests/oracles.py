@@ -531,7 +531,7 @@ def partition_sums_fsum(h1, h2, params, ell: int) -> PartitionSums:
 def squarefree_h_sum_fractions(Q: float, sys, primes: list[int]) -> Fraction:
     """Sum of h(q) over square-free q <= Q built from the ascending `primes`
     by a depth-first walk that multiplies and adds a normalised Fraction at
-    every node; the reference for `largesieve._squarefree_h_sum`."""
+    every node; the reference for `largesieve.big_h`."""
     if not Q >= 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     primes = [p for p in primes if p <= Q]

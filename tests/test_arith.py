@@ -108,13 +108,7 @@ class TestMultiplicative:
         assert arith.tau_m(n, 1) == 1
 
     def test_phi_tau(self):
-        assert arith.euler_phi(1) == 1
-        assert arith.euler_phi(12) == 4
         assert arith.tau(12) == 6
-
-    @given(st.integers(min_value=1, max_value=3000))
-    def test_phi_matches_gcd_count(self, n):
-        assert arith.euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
     def test_divisors(self):
         assert arith.divisors(6) == [1, 2, 3, 6]

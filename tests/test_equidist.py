@@ -219,7 +219,7 @@ class TestCorollary3:
         assert rep.conjectured_rate == pytest.approx(
             (math.log(12) * rep.l_sym2 * rep.l_sym4) ** (-1 / 9), rel=1e-12
         )
-        assert rep.ems_holds and not rep.r_k_available
+        assert rep.ems_holds
 
     def test_y_star_when_m_small(self, forms_1e5):
         # weight 18 has the largest L value; check the general formula

@@ -113,8 +113,6 @@ class TestHValues:
         for i in range(500):
             sys, q = ls.random_admissible_system(rng, z_max=200 if i % 3 == 0 else 50)
             assert ls.big_h(q, sys) == squarefree_h_sum_fractions(q, sys, list(sys.primes))
-            divides = [p for p in sys.primes if (sys.a * sys.a_ell) % p == 0]
-            assert ls.h_divisor_subsum(q, sys) == squarefree_h_sum_fractions(q, sys, divides)
             assert ls.ls_bound(sys, q) == (sys.n_range + q * q) / float(
                 squarefree_h_sum_fractions(q, sys, list(sys.primes)))
 
@@ -216,22 +214,8 @@ class TestInequalityAndEquivalence:
 
 
 class TestHLowerBound:
-    def test_divisor_subsum_is_lower_bound(self):
-        rng = random.Random(99)
-        for _ in range(30):
-            sys, q = ls.random_admissible_system(rng, n_max=5000)
-            assert ls.h_divisor_subsum(q, sys) <= ls.big_h(q, sys)
-
     @pytest.mark.parametrize("q", [0.5, float("nan")])
     def test_q_below_one_rejected(self, q):
         sys = ls.build_omega(6, 5, 7, z=12, x=5000)
-        for h_sum in (ls.big_h, ls.h_divisor_subsum):
-            with pytest.raises(ValueError):
-                h_sum(q, sys)
-
-    def test_ratio_reported_positive(self):
-        # constant never asserted; just recorded and sane
-        sys = ls.build_omega(6, 5, 7, z=12, x=5000)
-        ratio = ls.h_lower_bound_ratio(10, sys)
-        assert ratio > 0
-        print(f"\nH / [(phi(aa_ell)/aa_ell)(log z)^2] = {ratio:.4f} (reported)")
+        with pytest.raises(ValueError):
+            ls.big_h(q, sys)

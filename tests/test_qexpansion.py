@@ -87,10 +87,6 @@ class TestDelta:
         n = 500
         assert qe.delta_qexp(n).coeffs == qe.delta_qexp_from_eisenstein(n).coeffs
 
-    def test_is_cusp(self):
-        assert qe.delta_qexp(5).is_cusp()
-        assert not qe.eisenstein_qexp(4, 5).is_cusp()
-
 
 class TestEigenform:
     def test_weight_12_is_delta(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftsieve import arith, largesieve, shifted as sh
+from shiftsieve import arith, shifted as sh
 
 from .oracles import (
     divisor_count,
@@ -285,14 +285,6 @@ class TestTheorem2Report:
         assert row[0] == 1000.0
         assert row[3] == rep.s_total
 
-    def test_json_roundtrip_fields(self, tau2_1e3):
-        import json
-
-        rep = sh.theorem2_report(tau2_1e3, tau2_1e3, 1000, 0.5, 1)
-        data = json.loads(rep.to_json())
-        assert data["s_total"] == rep.s_total
-        assert data["params"]["below_paper_threshold"] is True
-
     def test_shift_sign_symmetry_reported(self, tau2_1e4):
         # index shift: sums agree up to boundary terms, reported not asserted
         plus = s_ell_brute(tau2_1e4, tau2_1e4, 10**4 - 10, 3)
@@ -349,7 +341,8 @@ class TestSieveSideBoundIntegerH:
         h = partition_handles[fn]
         params = arith.make_params(x, eps)
         got = sh.sieve_side_bound(h, h, params, ell)
-        monkeypatch.setattr(largesieve, "_squarefree_h_sum", squarefree_h_sum_fractions)
+        monkeypatch.setattr(
+            sh, "big_h", lambda q, sys: squarefree_h_sum_fractions(q, sys, list(sys.primes)))
         want = sh.sieve_side_bound(h, h, params, ell)
         assert dataclasses.astuple(got) == dataclasses.astuple(want)
         assert got.contributing_cells > 0
