@@ -21,6 +21,8 @@ import random
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import arith, equidist, largesieve, qexpansion, shifted, specfun
 
 __all__ = [
@@ -66,11 +68,8 @@ CUTOFF_MAX = SHIFTED_LIMIT_MAX["weight"]
 AELL_ELL_MAX = arith.PRIME_TABLE_MAX**2
 
 # Largest |Re s| `specfun theta` takes: theta(s) = pi^{-s} Gamma(s) zeta(2s)
-# leaves the float range near Re s = 219.  The cap bounds only that side:
-# on the negative side `specfun.zeta` overflows well before theta does
-# (from about Re s = -100 at Im s = 0.5, earlier as |Im s| grows), and
-# theta there comes out nan, since theta_s does not apply theta(s) =
-# theta(1/2 - s).
+# leaves the float range near Re s = 219, and, as theta(s) = theta(1/2 - s),
+# near Re s = -219 on the other side.
 THETA_RE_MAX = 200
 
 # Largest |Im s| `specfun theta` takes: zeta sums 1.6 |Im s| + 20 terms of
@@ -429,8 +428,11 @@ def build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.run(args)
-    except (ValueError, ArithmeticError) as exc:  # UsageError, ToleranceError, OverflowError
+        # a numpy overflow, division by zero or invalid operation is an error,
+        # never a value written beside a warning; underflow to 0 is relied on
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.run(args)
+    except (ValueError, ArithmeticError) as exc:  # Usage-, Tolerance-, Overflow-, FloatingPointError
         print(f"error: {exc}", file=sys.stderr)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

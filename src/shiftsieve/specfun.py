@@ -550,12 +550,20 @@ def bessel_bound_check(t: float, w: float, A: int = 0, eps: float = 0.0) -> Bess
 # Eisenstein coefficient formulas.
 
 def theta_s(s: complex) -> complex:
-    """theta(s) = pi^{-s} Gamma(s) zeta(2s)."""
+    """theta(s) = pi^{-s} Gamma(s) zeta(2s) = Lambda(2s), with poles only at
+    s = 0 and s = 1/2.
+
+    Below Re s = 1/4 it is taken as theta(1/2 - s), by the functional
+    equation Lambda(z) = Lambda(1 - z) (DLMF 25.4): there the direct zeta
+    sum would overflow long before theta leaves the float range.
+    """
     s = complex(s)
     if abs(s - 0.5) < 1e-8:
         raise PoleError(f"theta pole at s = 1/2 (zeta(2s) pole), got {s}")
-    if abs(s.imag) < 1e-8 and abs(s.real - round(s.real)) < 1e-8 and round(s.real) <= 0:
-        raise PoleError(f"theta pole at nonpositive integer, got {s}")
+    if abs(s) < 1e-8:
+        raise PoleError(f"theta pole at s = 0 (Gamma(s) pole), got {s}")
+    if s.real < 0.25:
+        s = 0.5 - s
     return cmath.exp(-s * math.log(math.pi) + clgamma(s)) * zeta(2.0 * s)
 
 
@@ -568,12 +576,21 @@ def varphi_s(s: complex) -> complex:
     The Gamma-ratio form is used: the theta quotient hides removable
     pole-zero cancellations at integer s (Gamma poles against trivial
     zeta zeros) that the quotient of computed values cannot resolve.
+    Below Re s = 1/4 it is taken as 1/varphi(1 - s), where both theta
+    arguments have Re > 1/4.  On Re s = 1/2, where theta(1 - s) is the
+    conjugate of theta(s), it is exp(-2i Im log theta(s)), of modulus 1
+    exactly; theta itself underflows there past Im s of about 450.
     """
     s = complex(s)
     if abs(s - 1.0) < 1e-8:
         raise PoleError(f"varphi pole at s = 1, got {s}")
     if abs(2.0 * s - 1.0) < 1e-8:
         raise PoleError(f"varphi singular at s = 1/2, got {s}")
+    if s.real < 0.25:
+        return 1.0 / varphi_s(1.0 - s)
+    if s.real == 0.5:
+        log_theta = -s * math.log(math.pi) + clgamma(s) + cmath.log(zeta(2.0 * s))
+        return cmath.exp(-2j * log_theta.imag)
     return (
         math.sqrt(math.pi)
         * cmath.exp(clgamma(s - 0.5) - clgamma(s))

@@ -10,6 +10,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shiftsieve import arith, cli, largesieve, qexpansion, shifted, specfun
@@ -195,6 +196,19 @@ class TestSpecfunCommand:
         assert theta_im == pytest.approx(-2.775802047779815e-203, rel=1e-10)
         assert abs_phi == pytest.approx(9.402153169736472, rel=1e-10)
         assert rows["0.25", "1000"][2] == pytest.approx(15.45117453050666, rel=1e-10)
+
+    def test_theta_left_of_the_strip_and_far_up_the_critical_line(self, tmp_path):
+        # theta(s) = theta(1/2 - s) left of Re s = 1/4, and |varphi| = 1 on
+        # Re s = 1/2; theta from mpmath 1.3.0 at 30 digits
+        rc, out = run(tmp_path, "t.csv", ["specfun", "theta", "--re=-100,0.5", "--im", "0.5,1e6"])
+        assert rc == 0
+        rows = {(r[0], r[1]): [float(v) for v in r[2:]]
+                for r in (line.split(",") for line in out.read_text().split()[1:])}
+        assert all(math.isfinite(v) for row in rows.values() for v in row)
+        theta_re, theta_im, _ = rows["-100", "0.5"]
+        assert theta_re == pytest.approx(-1.60723346494502e106, rel=1e-10)
+        assert theta_im == pytest.approx(-9.99569251734535e106, rel=1e-10)
+        assert rows["0.5", "1000000"][2] == 1.0
 
     def test_gammaratio_exact_zeros(self, tmp_path):
         rc, out = run(
@@ -503,6 +517,26 @@ class TestBoundary:
 
         monkeypatch.setattr(specfun, "a_ell_y", fail)
         self.rejected(tmp_path, capsys, ["specfun", "aell", "--ell", "1", "--y", "0.3"])
+
+    @pytest.mark.parametrize("bad", [lambda: np.float64(1e308) * 10.0,
+                                     lambda: np.float64(1.0) / np.float64(0.0),
+                                     lambda: np.sqrt(np.float64(-1.0))],
+                             ids=["overflow", "divide", "invalid"])
+    def test_numpy_warning_is_an_error(self, tmp_path, capsys, monkeypatch, bad):
+        # a value computed beside a numpy warning is never written
+        monkeypatch.setattr(specfun, "theta_s", lambda s: complex(bad()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.rejected(tmp_path, capsys, ["specfun", "theta", "--re", "2", "--im", "1"])
+        assert np.geterr()["over"] != "raise"  # the setting is main's alone
+
+    def test_numpy_underflow_stays_silent(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(specfun, "theta_s", lambda s: complex(np.float64(1e-300) * 1e-300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = run(tmp_path, "u.csv", ["specfun", "theta", "--re", "2", "--im", "1"])
+        assert rc == 0
+        assert out.read_text().split()[1].split(",")[2] == "0"
 
 
 @pytest.mark.parametrize("module", ["shiftsieve.cli", "shiftsieve"])

@@ -412,6 +412,35 @@ class TestEisensteinFormulas:
         with pytest.raises(sf.PoleError):
             sf.theta_s(0.0)
 
+    def test_theta_finite_at_negative_integers(self):
+        # theta = Lambda(2s) has poles only at 0 and 1/2: theta(-1) = theta(3/2)
+        assert sf.theta_s(-1.0) == pytest.approx(0.191313298015585, rel=1e-13)
+        assert sf.theta_s(-1.0) == pytest.approx(sf.theta_s(1.5), rel=1e-13)
+
+    @pytest.mark.parametrize("s", [complex(-100, 0.5), complex(-3, 5), complex(0.1, 2),
+                                   complex(-1, 300), complex(-200, 3)])
+    def test_left_of_the_strip_against_mpmath(self, s):
+        # the direct zeta sum overflows far left; theta(s) = theta(1/2 - s)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            z = mpmath.mpc(s.real, s.imag)
+
+            def theta(u):
+                return mpmath.pi ** -u * mpmath.gamma(u) * mpmath.zeta(2 * u)
+
+            ref_theta = complex(theta(z))
+            ref_phi = complex(theta(1 - z) / theta(z))
+        assert sf.theta_s(s) == pytest.approx(ref_theta, rel=1e-10)
+        assert sf.varphi_s(s) == pytest.approx(ref_phi, rel=1e-10)
+        if s == complex(-100, 0.5):
+            assert ref_theta == pytest.approx(
+                complex(-1.60723346494502e106, -9.99569251734535e106), rel=1e-12)
+
+    def test_phi_unit_modulus_far_up_the_critical_line(self):
+        # theta(1/2 + it) underflows past t ~ 450; phi = exp(-2i Im log theta)
+        for t in (450.0, 1e4, 1e6, -1e6):
+            assert abs(sf.varphi_s(complex(0.5, t))) == pytest.approx(1.0, abs=1e-15)
+
 
 class TestMellin:
     def test_bump_shape(self):
