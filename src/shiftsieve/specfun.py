@@ -887,6 +887,11 @@ def w_main_term(
     return main, envelope
 
 
+_LOG1P_TERMS = 17  # (1/3)^32 * 3/35 < 1e-16: the atanh series of _log1p_minus_x
+# B_2j / (2j (2j - 1)) for j = 1..10, the Stirling series of log Gamma
+_STIRLING_COEFF = tuple(float(_BERNOULLI[2 * j] / (2 * j * (2 * j - 1))) for j in range(1, 11))
+
+
 @dataclass(frozen=True)
 class GammaRatioCheck:
     k: int
@@ -896,12 +901,37 @@ class GammaRatioCheck:
     normalized: float
 
 
+def _log1p_minus_x(x: complex) -> complex:
+    """log(1 + x) - x for |x| <= 1/2, without the cancellation of taking
+    the two apart: with u = x / (2 + x), log(1 + x) = 2 atanh(u), so it is
+    -x^2 / (2 + x) + 2 (u^3/3 + u^5/5 + ...), and |u| <= 1/3."""
+    u = x / (2.0 + x)
+    u2 = u * u
+    tail = 0.0
+    for n in range(_LOG1P_TERMS, 0, -1):
+        tail = tail * u2 + 1.0 / (2 * n + 1)
+    return -x * x / (2.0 + x) + 2.0 * u * u2 * tail
+
+
+def _cexpm1(z: complex) -> complex:
+    """exp(z) - 1 without cancellation for small |z|."""
+    half_sin = math.sin(0.5 * z.imag)
+    return complex(math.expm1(z.real) * math.cos(z.imag) - 2.0 * half_sin * half_sin,
+                   math.exp(z.real) * math.sin(z.imag))
+
+
 def gamma_ratio_check(k: int, s: complex) -> GammaRatioCheck:
     """Deviation of Gamma(s+k-1)/(Gamma(k-1) (k-1)^s) from 1.
 
     Small nonnegative integer s is evaluated as the exact rational product,
-    so s = 0 and s = 1 report an error of exactly zero; elsewhere the
-    log-gamma route is used.  normalized is error * k / (|s|+1)^2.
+    so s = 0 and s = 1 report an error of exactly zero.  For |s| <= z/2,
+    with z = k - 1, the log of the ratio is the difference of the two
+    Stirling series (DLMF 5.11.1),
+        (s - 1/2) s/z + (z + s - 1/2)(log(1 + s/z) - s/z)
+            + sum_j B_2j / (2j (2j - 1)) [(z + s)^{1-2j} - z^{1-2j}],
+    and the deviation its expm1, so no term of size z log z cancels;
+    elsewhere the log-gamma route is used.  normalized is
+    error * k / (|s|+1)^2.
     """
     if k < 12:
         raise ValueError("weight k must be >= 12")
@@ -911,8 +941,15 @@ def gamma_ratio_check(k: int, s: complex) -> GammaRatioCheck:
         ratio = 1.0
         for j in range(m):
             ratio *= (k - 1 + j) / (k - 1)
-        ratio = complex(ratio)
+        deviation = complex(ratio - 1.0)
+    elif abs(s) <= 0.5 * (k - 1):
+        z = float(k - 1)
+        log_ratio = (s - 0.5) * s / z + (z + s - 0.5) * _log1p_minus_x(s / z)
+        inv_zs, inv_z = 1.0 / (z + s), 1.0 / z  # powers of these underflow to 0, never overflow
+        for j, c in enumerate(_STIRLING_COEFF, start=1):
+            log_ratio += c * (inv_zs ** (2 * j - 1) - inv_z ** (2 * j - 1))
+        deviation = _cexpm1(log_ratio)
     else:
-        ratio = cmath.exp(clgamma(s + k - 1) - math.lgamma(k - 1) - s * math.log(k - 1))
-    error = abs(ratio - 1.0)
-    return GammaRatioCheck(k, s, ratio, error, error * k / (abs(s) + 1.0) ** 2)
+        deviation = cmath.exp(clgamma(s + k - 1) - math.lgamma(k - 1) - s * math.log(k - 1)) - 1.0
+    error = abs(deviation)
+    return GammaRatioCheck(k, s, 1.0 + deviation, error, error * k / (abs(s) + 1.0) ** 2)

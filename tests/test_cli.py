@@ -210,6 +210,15 @@ class TestSpecfunCommand:
         assert theta_im == pytest.approx(-9.99569251734535e106, rel=1e-10)
         assert rows["0.5", "1000000"][2] == 1.0
 
+    def test_gammaratio_large_k(self, tmp_path):
+        # (z + s - 1/2) log(1 + s/z) and log Gamma differences of size z log z
+        # no longer cancel: the value is mpmath's to 1e-12 at k = 1e8
+        rc, out = run(tmp_path, "g.csv", ["specfun", "gammaratio", "--k", "100000000",
+                                          "--s", "0.5"])
+        assert rc == 0
+        error = float(out.read_text().split()[1].split(",")[3])
+        assert error == pytest.approx(1.25000001171875e-09, rel=1e-12)
+
     def test_gammaratio_exact_zeros(self, tmp_path):
         rc, out = run(
             tmp_path, "g.csv", ["specfun", "gammaratio", "--k", "100", "--s", "0,1"],

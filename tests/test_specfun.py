@@ -819,3 +819,19 @@ class TestGammaRatio:
     def test_error_shrinks_with_k(self):
         errs = [sf.gamma_ratio_check(k, complex(1, 1)).error for k in (100, 1000, 10_000)]
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize("k", [12, 100, 1000, 5000, 10**6, 10**8, 10**12])
+    def test_against_mpmath(self, k):
+        # the Stirling difference for |s| <= (k-1)/2, log-gamma past it; the
+        # plain log-gamma difference was off by a factor of 300 at k = 1e8
+        mpmath = pytest.importorskip("mpmath")
+        points = [0.5, complex(1, 1), complex(1.1, 10), -0.5, complex(-3, 2), 2.5, complex(0, 5)]
+        if k <= 100:  # past |s| = (k-1)/2, where the ratio stays in the float range
+            points += [0.6 * (k - 1), complex(0.5, 0.6 * (k - 1))]
+        for s in points:
+            with mpmath.workdps(40):
+                z, u = mpmath.mpf(k - 1), mpmath.mpc(s)
+                ref = float(abs(mpmath.expm1(mpmath.loggamma(z + u) - mpmath.loggamma(z)
+                                             - u * mpmath.log(z))))
+            rel = 1e-12 if abs(s) <= (k - 1) / 2 else 1e-9
+            assert sf.gamma_ratio_check(k, s).error == pytest.approx(ref, rel=rel), s
