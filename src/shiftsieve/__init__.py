@@ -5,7 +5,7 @@ systems with exact-rational large-sieve bounds, K-Bessel of imaginary
 order, the spectral weight W(n, ell; Y), symmetric-square values and the
 prime-product rates M(x) and M_k(f)."""
 
-from .arith import SievingParameters, make_params, prime_table, smooth_rough, tau, tau_m
+from .arith import SievingParameters, make_params, prime_table, tau, tau_m
 from .largesieve import OmegaSystem, big_h, build_omega, ls_bound, sift_bruteforce
 from .qexpansion import EigenForm, QExpansion, delta_qexp, eigenform, eisenstein_qexp, hecke_verify
 from .shifted import (

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import decimal
 import functools
 import json
 import math
+import os
 import random
+import stat
 import sys
-from typing import Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -106,6 +109,50 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextlib.contextmanager
+def atomic_open(path: str) -> Iterator[IO[bytes]]:
+    """Open path for binary writing, as open(path, "wb") would.
+
+    A new file, or a regular file with one link in a directory that takes new
+    files, is written to a temporary file next to it and renamed over it once
+    the block ends, so path holds either its old bytes or all the new ones; on
+    an exception the temporary file is removed.  Anything else (a device, a
+    FIFO, /dev/stdout, a hard-linked or read-only file) is written in place.
+    A symlink at path is written through, and the file ends up with the
+    permissions open would give it.
+    """
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    directory = os.path.dirname(target) or "."
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not (
+        stat.S_ISREG(st.st_mode)
+        and st.st_nlink == 1
+        and os.access(target, os.W_OK)
+        and os.access(directory, os.W_OK)
+    ):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    tmp = os.path.join(directory, f".{os.path.basename(target)}.{os.urandom(8).hex()}")
+    try:  # the kernel applies the umask to 0o666, as open does
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_rows(args: argparse.Namespace, header: list[str], rows: list[list]) -> None:
     if args.format == "csv":
         lines = [",".join(header)]
@@ -117,7 +164,7 @@ def _write_rows(args: argparse.Namespace, header: list[str], rows: list[list]) -
             "rows": [dict(zip(header, row)) for row in rows],
         }
         text = json.dumps(payload, sort_keys=True, default=_fmt) + "\n"
-    with arith.atomic_open(args.out) as handle:
+    with atomic_open(args.out) as handle:
         handle.write(text.encode())
 
 
@@ -200,7 +247,12 @@ def _run_shifted(args: argparse.Namespace) -> int:
     else:
         handle = shifted.tau_handle(int(args.function[3:]), limit)
     report = shifted.theorem2_report(handle, handle, x, epsilon, ell)
-    _write_rows(args, shifted.report_csv_header(), [shifted.report_csv_row(report)])
+    header = ["x", "ell", "epsilon", "s_total", "s_big", "s_small", "m_of_x", "rhs", "ratio"]
+    row = [
+        report.x, report.ell, report.epsilon, report.s_total, report.s_big,
+        report.s_small, report.m_of_x, report.rhs, report.ratio,
+    ]
+    _write_rows(args, header, [row])
     identity_gap = abs(report.s_small + report.s_big - report.overlap - report.s_total)
     if identity_gap > 1e-9 * max(report.s_total, 1.0):
         return EXIT_VIOLATION
@@ -234,7 +286,14 @@ def _run_mk(args: argparse.Namespace) -> int:
     _check_cutoff(args.cutoff)
     form = qexpansion.eigenform(args.weight, args.cutoff)
     report = equidist.corollary3_report(form, args.cutoff)
-    _write_rows(args, equidist.corollary3_csv_header(), [equidist.corollary3_csv_row(report)])
+    header = [
+        "weight", "cutoff", "L_sym2", "gap", "M_k", "sqrt_M_k", "Y_star", "ems_lhs", "ems_rhs",
+    ]
+    row = [
+        report.weight, report.cutoff, report.l_sym2, report.l_sym2_gap, report.m_k,
+        report.sqrt_m_k, report.y_star, report.ems_lhs, report.ems_rhs,
+    ]
+    _write_rows(args, header, [row])
     return EXIT_OK
 
 

@@ -34,8 +34,6 @@ __all__ = [
     "theorem1_bound_assembly",
     "Corollary3Report",
     "corollary3_report",
-    "corollary3_csv_header",
-    "corollary3_csv_row",
 ]
 
 _EMS_TOL = 1e-12
@@ -304,26 +302,3 @@ def corollary3_report(form: EigenForm, cutoff: int) -> Corollary3Report:
         ems_holds=ems.holds,
     )
 
-
-COROLLARY3_CSV_COLUMNS = (
-    "weight", "cutoff", "L_sym2", "gap", "M_k", "sqrt_M_k", "Y_star",
-    "ems_lhs", "ems_rhs",
-)
-
-
-def corollary3_csv_header() -> list[str]:
-    return list(COROLLARY3_CSV_COLUMNS)
-
-
-def corollary3_csv_row(report: Corollary3Report) -> list:
-    return [
-        report.weight,
-        report.cutoff,
-        report.l_sym2,
-        report.l_sym2_gap,
-        report.m_k,
-        report.sqrt_m_k,
-        report.y_star,
-        report.ems_lhs,
-        report.ems_rhs,
-    ]

@@ -35,8 +35,6 @@ __all__ = [
     "theorem2_report",
     "SieveSideBound",
     "sieve_side_bound",
-    "report_csv_header",
-    "report_csv_row",
 ]
 
 
@@ -240,29 +238,6 @@ class ShiftedSumReport:
     rhs: float
     ratio: float
     params: SievingParameters
-
-
-REPORT_CSV_COLUMNS = (
-    "x", "ell", "epsilon", "s_total", "s_big", "s_small", "m_of_x", "rhs", "ratio",
-)
-
-
-def report_csv_header() -> list[str]:
-    return list(REPORT_CSV_COLUMNS)
-
-
-def report_csv_row(report: ShiftedSumReport) -> list:
-    return [
-        report.x,
-        report.ell,
-        report.epsilon,
-        report.s_total,
-        report.s_big,
-        report.s_small,
-        report.m_of_x,
-        report.rhs,
-        report.ratio,
-    ]
 
 
 def theorem2_report(

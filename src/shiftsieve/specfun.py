@@ -582,6 +582,8 @@ def varphi_s(s: complex) -> complex:
     exactly; theta itself underflows there past Im s of about 450.
     """
     s = complex(s)
+    if abs(s) < 1e-8:  # a simple zero: varphi(s) = -(pi/3) s + O(s^2)
+        return -math.pi / 3.0 * s
     if abs(s - 1.0) < 1e-8:
         raise PoleError(f"varphi pole at s = 1, got {s}")
     if abs(2.0 * s - 1.0) < 1e-8:

@@ -5,6 +5,7 @@ and every function the benchmark's per-layer tracer wraps still exists."""
 import importlib
 import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,26 @@ def test_every_cache_clear_takes_no_arguments(monkeypatch):
     qe.eigenform(18, 40)
     assert builds == [40, 40]
     qe._largest_form.cache_clear()
+
+
+def test_benchmark_reset_empties_prime_table_and_profiles(monkeypatch):
+    """perfbench/run.py resets the grown prime table by the names
+    `arith._primes` and `arith._primes_limit` and the a_ell_y profiles by
+    their `cache_clear`; a renamed cache would survive between rounds."""
+    from shiftsieve import arith
+    from shiftsieve import specfun as sf
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py puts perfbench/ on it
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+
+    arith.prime_table(10**5)
+    sf.a_ell_y(sf.MellinTransform(), 1, 2.0, tol=1e-6)
+    assert arith._primes_limit >= 10**5
+    assert sf._aell_profile.cache_info().currsize > 0
+    run.reset_program_caches()
+    assert arith._primes_limit == 0
+    assert sf._aell_profile.cache_info().currsize == 0

@@ -27,69 +27,15 @@ class TestPrimeTable:
         assert list(small) == [2, 3, 5, 7]
         assert big[-1] == 997
 
+    def test_matches_oracle(self, monkeypatch):
+        monkeypatch.setattr(arith, "_primes", arith._primes)
+        for limit in (2, 3, 4, 24, 25, 26, 10**4):
+            monkeypatch.setattr(arith, "_primes_limit", 0)  # sieve afresh
+            assert arith.prime_table(limit).tolist() == primes_upto(limit)
+
     def test_capacity_guard(self):
         with pytest.raises(ValueError):
             arith.prime_table(arith.PRIME_TABLE_MAX + 1)
-
-    def test_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SHIFTSIEVE_PRIME_CACHE", str(tmp_path))
-        monkeypatch.setattr(arith, "_primes", np.array([], dtype=np.int64))
-        monkeypatch.setattr(arith, "_primes_limit", 0)
-        ps = arith.prime_table(5000)
-        assert (tmp_path / "primes_5000.npy").exists()
-        monkeypatch.setattr(arith, "_primes", np.array([], dtype=np.int64))
-        monkeypatch.setattr(arith, "_primes_limit", 0)
-        again = arith.prime_table(5000)
-        assert list(ps) == list(again)
-
-
-class TestPrimeCacheFile:
-    """A cached table is checked before use; a bad file is re-sieved and
-    replaced, never trusted."""
-
-    LIMIT = 5000
-
-    @pytest.fixture
-    def cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SHIFTSIEVE_PRIME_CACHE", str(tmp_path))
-
-        def fresh_table():
-            monkeypatch.setattr(arith, "_primes", np.array([], dtype=np.int64))
-            monkeypatch.setattr(arith, "_primes_limit", 0)
-            return arith.prime_table(self.LIMIT)
-
-        return tmp_path / f"primes_{self.LIMIT}.npy", fresh_table
-
-    def check_rebuilt(self, path, fresh_table):
-        assert list(fresh_table()) == primes_upto(self.LIMIT)
-        assert list(np.load(path)) == primes_upto(self.LIMIT)
-        assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file left
-
-    def test_truncated_file(self, cache):
-        path, fresh_table = cache
-        fresh_table()
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        self.check_rebuilt(path, fresh_table)
-
-    def test_wrong_dtype_file(self, cache):
-        path, fresh_table = cache
-        np.save(path, np.array(primes_upto(self.LIMIT), dtype=np.int32))
-        self.check_rebuilt(path, fresh_table)
-
-    def test_wrong_content_files(self, cache):
-        path, fresh_table = cache
-        primes = primes_upto(self.LIMIT)
-        bad_tables = (
-            primes[:-5],                   # stops short of the limit
-            primes + [5003],               # runs past the limit
-            primes[:3] + [9] + primes[3:],  # a composite in the table
-            primes[::-1],                  # not increasing
-            [[p] for p in primes],         # not 1-D
-        )
-        for bad in bad_tables:
-            np.save(path, np.array(bad, dtype=np.int64))
-            self.check_rebuilt(path, fresh_table)
 
 
 class TestMultiplicative:
@@ -116,31 +62,12 @@ class TestMultiplicative:
 
 
 class TestSmoothRough:
-    def test_examples(self):
-        assert (arith.smooth_rough(12, 2).smooth, arith.smooth_rough(12, 2).rough) == (4, 3)
-        assert (arith.smooth_rough(12, 3).smooth, arith.smooth_rough(12, 3).rough) == (12, 1)
-        assert (arith.smooth_rough(1, 7).smooth, arith.smooth_rough(1, 7).rough) == (1, 1)
-
-    @given(st.integers(min_value=1, max_value=10**6), st.floats(min_value=2, max_value=1000))
-    def test_reconstruction(self, n, z):
-        f = arith.smooth_rough(n, z)
-        assert f.smooth * f.rough == n
-        sm, ro = fz_split(n, z)
-        assert (f.smooth, f.rough) == (sm, ro)
-
-    @given(
-        st.integers(min_value=1, max_value=10**5),
-        st.floats(min_value=2, max_value=500),
-        st.floats(min_value=0, max_value=500),
-    )
-    def test_monotone_in_z(self, n, z, bump):
-        low = arith.smooth_rough(n, z).smooth
-        high = arith.smooth_rough(n, z + bump).smooth
-        assert high % low == 0 and high >= low
-
-    def test_below_two_threshold(self):
-        f = arith.smooth_rough(12, 1.5)
-        assert (f.smooth, f.rough) == (1, 12)
+    def test_monotone_in_z(self):
+        # raising z only adds primes to the smooth part, so it is a multiple
+        zs = (1.5, 2, 2.9, 3, 7.5, 97, 500, 10**9)
+        tables = [arith.smooth_part_table(10**5, z) for z in zs]
+        for low, high in zip(tables, tables[1:]):
+            assert np.all(high % low == 0) and np.all(high >= low)
 
     def test_smooth_part_table_matches_pointwise(self):
         for z in (1.5, 2, 3.7, 50, 1999, 10**9, math.inf):
@@ -154,8 +81,9 @@ class TestSmoothRough:
         p = arith.make_params(x, eps)
         if not math.isfinite(p.z):
             pytest.skip("z overflowed for this regime")
+        smooth = arith.smooth_part_table(int(x), p.z)
         for n in range(1, int(x) + 1, 37):
-            rough = arith.smooth_rough(n, p.z).rough
+            rough = n // int(smooth[n])
             count = sum(e for _, e in arith.factorize(rough)) if rough > 1 else 0
             assert count < p.s + 1
 

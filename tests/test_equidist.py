@@ -225,9 +225,3 @@ class TestCorollary3:
         # weight 18 has the largest L value; check the general formula
         rep = eq.corollary3_report(forms_1e5[18], 100_000)
         assert rep.y_star == max(1.0, 1.0 / rep.m_k)
-
-    def test_csv_row(self, forms_1e5):
-        rep = eq.corollary3_report(forms_1e5[12], 100_000)
-        row = eq.corollary3_csv_row(rep)
-        assert len(row) == len(eq.corollary3_csv_header()) == 9
-        assert row[0] == 12

@@ -278,13 +278,6 @@ class TestTheorem2Report:
         r9 = sh.theorem2_report(tau2_1e4, tau2_1e4, 10**4, 0.5, 9)
         assert r9.rhs / r3.rhs == pytest.approx(1.5, rel=1e-14)
 
-    def test_csv_row_format(self, tau2_1e3):
-        rep = sh.theorem2_report(tau2_1e3, tau2_1e3, 1000, 0.5, 1)
-        row = sh.report_csv_row(rep)
-        assert len(row) == len(sh.report_csv_header()) == 9
-        assert row[0] == 1000.0
-        assert row[3] == rep.s_total
-
     def test_shift_sign_symmetry_reported(self, tau2_1e4):
         # index shift: sums agree up to boundary terms, reported not asserted
         plus = s_ell_brute(tau2_1e4, tau2_1e4, 10**4 - 10, 3)

@@ -358,6 +358,13 @@ class TestEisensteinFormulas:
         val = (s - 1.0) * sf.varphi_s(s)
         assert abs(val - 3.0 / math.pi) < 1e-6
 
+    def test_phi_simple_zero_at_zero(self):
+        # phi(0) = theta(1)/theta(0) = 0, with phi(s) = -(pi/3) s + O(s^2)
+        assert sf.varphi_s(0) == 0
+        assert sf.varphi_s(1e-9) == pytest.approx(-math.pi / 3 * 1e-9, rel=1e-8)
+        # mpmath: sqrt(pi) Gamma(s - 1/2) zeta(2s - 1) / (Gamma(s) zeta(2s)) at 1e-7
+        assert sf.varphi_s(1e-7).real == pytest.approx(-1.04719764628832e-7, rel=1e-8)
+
     def test_residue_limit_trend(self):
         deviations = []
         for j in (3, 4, 5):
