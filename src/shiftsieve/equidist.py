@@ -212,9 +212,12 @@ def weighted_shift_sum(
 class Theorem1Bound:
     """Right-hand side of the shifted-sum bound, implied constant 1.
 
-    bound = (|a_ell(1/Y)| / L(1, sym^2 f)) * (sum_term + tail_term) with
+    bound = (a_ell_abs / L(1, sym^2 f)) * (sum_term + tail_term) with
     sum_term = weighted sum / (Y k) and tail_term = (Y k)^eps / k; c_y is
     the unfolding normalization (3/pi) <E(.|g), 1> Y with <E(.|g), 1> = G(-1).
+    a_ell_abs bounds |a_ell(1/Y)| from above: it is the |a_ell_y| value plus
+    the tolerance that value is within, so it is positive also at Y <= 1,
+    where no term of the unfolding reaches the bump and a_ell(1/Y) = 0.
     """
 
     weight: int
@@ -230,6 +233,9 @@ class Theorem1Bound:
     bound: float
 
 
+_A_ELL_TOL = 1e-7  # the tolerance theorem1_bound_assembly takes a_ell(1/Y) to
+
+
 def theorem1_bound_assembly(
     form: EigenForm,
     ell: int,
@@ -242,7 +248,7 @@ def theorem1_bound_assembly(
         mellin = MellinTransform()
     k = form.weight
     lc = min(form.cutoff, 100_000) if l_cutoff is None else l_cutoff
-    a_abs = abs(a_ell_y(mellin, ell, 1.0 / Y))
+    a_abs = abs(a_ell_y(mellin, ell, 1.0 / Y, _A_ELL_TOL)) + _A_ELL_TOL
     l_val = l1_sym2(form, lc).value
     wsum = weighted_shift_sum(form, ell, Y, bump=mellin.bump)
     sum_term = wsum / (Y * k)

@@ -9,11 +9,12 @@ over orders, of the rotated exp(pi t/2)-scaled one, which hands orders far
 enough past the turning point t = w to the Debye expansion (DLMF 10.41.4),
 plus the Eisenstein coefficient formulas, the canonical bump weight, its
 Mellin transform, and the Laplace-form evaluation of the spectral weight
-W(n, ell; Y).  The Eisenstein coefficient integral evaluates its Mellin and
-zeta factors block by block as shifted exponential sums, a few small matrix
-products per block, and keeps the ell- and y-independent part of each block
-per bump in a `functools.cache` (`_aell_profile`); a point takes its Debye
-values and divisor sums once per chunk of up to 16 blocks.
+W(n, ell; Y).  The Eisenstein coefficient a_ell(y) is a finite unfolding sum
+over c, vectorised over all c, wherever that fits a node budget; below
+y of about 5e-7 it is the spectral t-integral, which evaluates its Mellin
+and zeta factors block by block as shifted exponential sums and keeps the
+ell- and y-independent part of each block per bump in a `functools.cache`
+(`_aell_profile`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import factorial
 
 import numpy as np
 
-from .arith import divisors
+from .arith import divisors, multiplicative_table
 
 __all__ = [
     "PoleError",
@@ -246,6 +247,20 @@ class BumpFunction:
         ui = u[inside]
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
         return out
+
+    def derivatives(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """g' and g'' at an array of points: with q = 1/(1 - u^2), dg/du =
+        -2u q^2 g and d^2g/du^2 = q^2 (4u^2 q^2 - 8u^2 q - 2) g."""
+        scale = 2.0 / (self.hi - self.lo)
+        u = (2.0 * ts - (self.lo + self.hi)) / (self.hi - self.lo)
+        first, second = np.zeros_like(u), np.zeros_like(u)
+        inside = np.abs(u) < 1.0
+        ui = u[inside]
+        q = 1.0 / (1.0 - ui * ui)
+        qg = q * q * np.exp(1.0 - q)
+        first[inside] = scale * -2.0 * ui * qg
+        second[inside] = scale * scale * (4.0 * ui * ui * q * (q - 2.0) - 2.0) * qg
+        return first, second
 
 
 DEFAULT_BUMP = BumpFunction()
@@ -567,6 +582,9 @@ def theta_s(s: complex) -> complex:
     return cmath.exp(-s * math.log(math.pi) + clgamma(s)) * zeta(2.0 * s)
 
 
+_EULER_GAMMA = 0.5772156649015329
+
+
 def varphi_s(s: complex) -> complex:
     """The Eisenstein scattering factor
 
@@ -579,15 +597,17 @@ def varphi_s(s: complex) -> complex:
     Below Re s = 1/4 it is taken as 1/varphi(1 - s), where both theta
     arguments have Re > 1/4.  On Re s = 1/2, where theta(1 - s) is the
     conjugate of theta(s), it is exp(-2i Im log theta(s)), of modulus 1
-    exactly; theta itself underflows there past Im s of about 450.
+    exactly; theta itself underflows there past Im s of about 450.  Within
+    1e-8 of 2s = 1 it is -1 + 2(gamma - log 4 pi)(s - 1/2), the removable
+    singularity's Taylor polynomial, and varphi(1/2) = 2 zeta(0) = -1.
     """
     s = complex(s)
     if abs(s) < 1e-8:  # a simple zero: varphi(s) = -(pi/3) s + O(s^2)
         return -math.pi / 3.0 * s
     if abs(s - 1.0) < 1e-8:
         raise PoleError(f"varphi pole at s = 1, got {s}")
-    if abs(2.0 * s - 1.0) < 1e-8:
-        raise PoleError(f"varphi singular at s = 1/2, got {s}")
+    if abs(2.0 * s - 1.0) < 1e-8:  # removable: Gamma(s - 1/2) and zeta(2s) both have poles
+        return -1.0 + 2.0 * (_EULER_GAMMA - math.log(4.0 * math.pi)) * (s - 0.5)
     if s.real < 0.25:
         return 1.0 / varphi_s(1.0 - s)
     if s.real == 0.5:
@@ -639,13 +659,22 @@ _AELL_CHUNK_EDGES = _aell_chunk_edges()  # 0, 3, 6, 12, 16, 32, 48, ..., 160, 17
 AELL_W_MIN = 4.0 * _AELL_BLOCK * _AELL_BLOCKS / sys.float_info.max
 
 
-def check_aell_w(ell: int, y: float) -> float:
-    """w = 2 pi |ell| y as a_ell_y takes it, or ValueError if it lies below
-    AELL_W_MIN or past the float range.  ell must be nonzero."""
+def _aell_w(ell: int, y: float) -> float:
+    """w = 2 pi |ell| y, or ValueError if it lies below AELL_W_MIN or past
+    the float range."""
     w = 2.0 * math.pi * abs(ell) * y
     if not AELL_W_MIN <= w < math.inf:
         raise ValueError(f"w = 2 pi |ell| y = {w:.3g} is outside [{AELL_W_MIN:.3g}, inf), "
                          f"where the Bessel quadrature stays in the float range")
+    return w
+
+
+def check_aell_w(ell: int, y: float) -> float:
+    """w = 2 pi |ell| y as a_ell_y takes it, or ValueError if it lies below
+    AELL_W_MIN or past the float range, or if no route of a_ell_y serves
+    (ell, y) with the default bump (`_aell_route`).  ell must be nonzero."""
+    w = _aell_w(ell, y)
+    _aell_route(ell, y, w, DEFAULT_BUMP)
     return w
 
 
@@ -743,24 +772,24 @@ def _aell_profile(mellin: MellinTransform, k: int) -> tuple[np.ndarray, np.ndarr
     return ts, wt, psi * _eisenstein_kernel(ts, zeta_1_2it)
 
 
-def a_ell_y(
-    mellin: MellinTransform,
-    ell: int,
-    y: float,
-    tol: float = 1e-7,
-) -> complex:
-    """Fourier coefficient a_ell(y) of the incomplete Eisenstein series.
+def _a_ell_spectral(mellin: MellinTransform, ell: int, y: float, tol: float = 1e-7) -> complex:
+    """a_ell(y) by its spectral integral, the route `a_ell_y` takes for a
+    point past the unfolding budget:
 
     a_ell(y) = sqrt(y/pi) * integral over t of
         pi^{it} Psi(-1/2-it) / (Gamma(1/2+it) zeta(1+2it))
         * sum_{ab=|ell|} (a/b)^{it} * K_{it}(2 pi |ell| y) dt,
     summed over t-blocks of width 4 (`_aell_block`) and truncated once two
-    consecutive blocks fall below the tolerance (the Mellin transform of the
-    bump decays like exp(-c sqrt|t|), which dictates the range).  Everything
-    but the Bessel values and the divisor sum is read from the process-wide
-    cache `_aell_profile`, keyed on `mellin` and the block and emptied by
-    `_aell_profile.cache_clear()`: a process builds each block's profile
-    once per bump, for the first point that reads that far.
+    consecutive blocks from block 2 on fall below tol/8 (the Mellin
+    transform of the bump decays like exp(-c sqrt|t|), which dictates the
+    range).  The stop is right only while w = 2 pi |ell| y is small: past
+    w of about 20 blocks 1-2 lie below the turning point t = w, where the
+    integrand is exponentially small, and the loop may stop before the
+    mass of the integral, so `a_ell_y` sends it no w past _SPECTRAL_W_MAX.
+    Everything but the Bessel values and the divisor sum is read from the
+    process-wide cache `_aell_profile`, keyed on `mellin` and the block and
+    emptied by `_aell_profile.cache_clear()`: a process builds each block's
+    profile once per bump, for the first point that reads that far.
     K_{it}/Gamma(1/2+it) is evaluated through the scaled Bessel values of
     `bessel_k_scaled_grid`, so large orders stay numerically clean; past
     the Debye switch they cost a formula, not a quadrature.  The Debye
@@ -769,15 +798,11 @@ def a_ell_y(
     the call, and the quadrature once per block read,
     over that block's other orders: each value is the one
     `bessel_k_scaled_grid` gives per block, bit for bit.  A w outside
-    `check_aell_w` is refused before any block.
+    [AELL_W_MIN, inf) is refused before any block.
     The integrand at -t is the conjugate of the value at t, hence the
     integral is twice the real part over t >= 0 and the result is real.
     """
-    if not math.isfinite(y) or y <= 0:
-        raise ValueError(f"y must be positive and finite, got {y}")
-    if ell == 0:
-        raise ValueError("ell must be nonzero")
-    w = check_aell_w(ell, y)
+    w = _aell_w(ell, y)
     aell = abs(ell)
     log_ratios = np.array([math.log(a / (aell // a)) for a in divisors(aell)])
 
@@ -810,6 +835,175 @@ def a_ell_y(
         )
     value = math.sqrt(y / math.pi) * 2.0 * total.real
     return complex(value, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# a_ell(y) by unfolding, and the choice between the two routes.
+
+# Gauss-Legendre nodes the unfolding route may take at a point; past it the
+# spectral route serves.  On a 2-core x86 machine 2^19 nodes took 18-26 ms,
+# about what a spectral point takes with its t-profile cached (16-30 ms).
+_UNFOLD_NODE_BUDGET = 1 << 19
+# Fewest 16-point panels on a c-window: 24 keeps every value within 3.4e-14
+# of a 64-panel, twice-refined rule on ell <= 12, y in [1e-6, 0.9].
+_UNFOLD_P_MIN = 24
+# A c-window that needs more panels than this may be skipped under its
+# bound; the smallest power of 4 at which tol = 1e-6 never ran out of nodes.
+_UNFOLD_SKIP_PANELS = 1024
+# The largest w = 2 pi |ell| y the spectral route serves: its stop rule
+# stayed within 1e-3 tol up to w = 16 and missed tol at w = 24.5.
+_SPECTRAL_W_MAX = 12.0
+
+
+def _unfold_windows(ell: int, y: float, bump: BumpFunction):
+    """The c-windows of the unfolding sum and their panels, (c, lo, hi,
+    panels) as arrays, or None past the node budget; and the node count.
+
+    The term c reaches the bump where y/(c^2(u^2 + y^2)) lies in [lo, hi],
+    that is for c^2 lo y < 1 and u in [sqrt(max(0, y/(hi c^2) - y^2)),
+    sqrt(y/(lo c^2) - y^2)].  A window takes max(_UNFOLD_P_MIN, ceil(4 |ell|
+    du)) panels, four per wavelength of cos(2 pi ell u).  The node count
+    charges a window past _UNFOLD_SKIP_PANELS only the _UNFOLD_P_MIN panels
+    of its bound.
+    """
+    count = math.floor(1.0 / math.sqrt(bump.lo * y))
+    if 16 * _UNFOLD_P_MIN * count > _UNFOLD_NODE_BUDGET:
+        return None, 16 * _UNFOLD_P_MIN * count
+    while count and count * count * bump.lo * y >= 1.0:
+        count -= 1
+    c = np.arange(1.0, count + 1)
+    a = y / (c * c)
+    hi = np.sqrt(np.maximum(a / bump.lo - y * y, 0.0))
+    lo = np.sqrt(np.maximum(a / bump.hi - y * y, 0.0))
+    waves = np.minimum(4.0 * abs(ell) * (hi - lo), 2.0**53)
+    panels = np.maximum(_UNFOLD_P_MIN, np.ceil(waves).astype(np.int64))
+    nodes = 16 * int(np.where(panels > _UNFOLD_SKIP_PANELS, _UNFOLD_P_MIN, panels).sum())
+    return ((c, lo, hi, panels) if nodes <= _UNFOLD_NODE_BUDGET else None), nodes
+
+
+def _aell_route(ell: int, y: float, w: float, bump: BumpFunction):
+    """The c-windows of `_unfold_windows` where unfolding serves (ell, y),
+    None where the spectral route does (w <= _SPECTRAL_W_MAX), or
+    ValueError where neither does."""
+    windows, nodes = _unfold_windows(ell, y, bump)
+    if windows is not None:
+        return windows
+    if w <= _SPECTRAL_W_MAX:
+        return None
+    raise ValueError(f"no route serves this point: unfolding takes {float(nodes):.3g} nodes, "
+                     f"past its budget of {_UNFOLD_NODE_BUDGET}, and w = 2 pi |ell| y = "
+                     f"{w:.3g} is past {_SPECTRAL_W_MAX:g}, the largest w the spectral "
+                     f"stop rule is right at")
+
+
+def _window_sums(y: float, c, lo, hi, panels, integrand) -> np.ndarray:
+    """sum over the Gauss-Legendre nodes u of each c-window of weight *
+    integrand(u, phi, a), with a = y/c^2 and phi = a/(u^2 + y^2), the
+    window's panels tiling [lo, hi] evenly; taken in passes of at most
+    _HEAD_PASS_PANELS panels."""
+    ends = np.cumsum(panels)
+    total = int(ends[-1]) if c.size else 0
+    out = np.zeros(c.size)
+    for first in range(0, total, _HEAD_PASS_PANELS):
+        panel = np.arange(first, min(first + _HEAD_PASS_PANELS, total))
+        window = np.searchsorted(ends, panel, side="right")
+        count = panels[window]
+        j = panel - (ends[window] - count)
+        step = (hi - lo)[window] / count
+        start = lo[window] + j * step
+        us, wt = _gauss_legendre(np.stack([start, start + step], axis=1), _GL16)
+        us, wt = us[:, 0], wt[:, 0]
+        a = (y / (c[window] * c[window]))[:, None]
+        vals = (wt * integrand(us, a / (us * us + y * y), a)).sum(axis=1)
+        out += np.bincount(window, weights=vals, minlength=c.size)
+    return out
+
+
+def _ramanujan_sums(ell: int, count: int) -> np.ndarray:
+    """S(ell; c) = sum over d | (ell, c) of d mu(c/d) for c = 1..count, from
+    one Moebius table and the divisors of |ell|."""
+    # the table's walk divides by mu(p^e), so the 0 of e >= 2 is marked as 2
+    marked = multiplicative_table(count, lambda p, e: 2 if e > 1 else (-1) ** e, np.int64)
+    mobius = np.where(np.abs(marked) == 1, marked, 0)
+    sums = np.zeros(count + 1)
+    for d in divisors(abs(ell)):
+        if d > count:
+            break
+        sums[d::d] += d * mobius[1 : count // d + 1]
+    return sums[1:]
+
+
+def _a_ell_unfolded(ell: int, y: float, bump: BumpFunction, windows, tol: float) -> float:
+    """a_ell(y) = sum over c of S(ell; c) I_c, I_c = 2 int g(y/(c^2(u^2 +
+    y^2))) cos(2 pi ell u) du over the c-window, on `_unfold_windows`.
+
+    A window past _UNFOLD_SKIP_PANELS is skipped where its bound allows:
+    with G_c(u) = g(y/(c^2(u^2 + y^2))), which vanishes with all its
+    derivatives at the window's ends (or is even at u = 0), integrating by
+    parts twice gives |I_c| <= 2 ||G_c''||_1 / (2 pi ell)^2, a
+    non-oscillatory integral taken on _UNFOLD_P_MIN panels.  Windows are
+    skipped, most panels first, while the sum of their bounds, each times
+    |S(ell; c)|, stays within tol/2; ToleranceError if the windows left need
+    more nodes than _UNFOLD_NODE_BUDGET.
+    """
+    c, lo, hi, panels = windows
+    sums = _ramanujan_sums(ell, c.size)
+    keep = sums != 0
+    wide = np.flatnonzero(keep & (panels > _UNFOLD_SKIP_PANELS))
+    if wide.size:
+
+        def curvature(us, phi, a):
+            d1, d2 = bump.derivatives(phi)
+            slope = -2.0 * us * phi * phi / a
+            bend = 2.0 * phi * phi / a * (4.0 * us * us * phi / a - 1.0)
+            return np.abs(d2 * slope * slope + d1 * bend)
+
+        norms = _window_sums(y, c[wide], lo[wide], hi[wide],
+                             np.full(wide.size, _UNFOLD_P_MIN), curvature)
+        bounds = np.abs(sums[wide]) * 2.0 * norms / (2.0 * math.pi * abs(ell)) ** 2
+        order = np.argsort(-panels[wide], kind="stable")
+        keep[wide[order[np.cumsum(bounds[order]) <= 0.5 * tol]]] = False
+    nodes = 16 * int(panels[keep].sum())
+    if nodes > _UNFOLD_NODE_BUDGET:
+        raise ToleranceError(f"tolerance {tol} needs {nodes:.3g} unfolding nodes for "
+                             f"ell={ell}, y={y}, past the budget of {_UNFOLD_NODE_BUDGET}")
+    phase = 2.0 * math.pi * abs(ell)
+    integrals = _window_sums(y, c[keep], lo[keep], hi[keep], panels[keep],
+                             lambda us, phi, a: bump.values(phi) * np.cos(phase * us))
+    return 2.0 * float(sums[keep] @ integrals)
+
+
+def a_ell_y(
+    mellin: MellinTransform,
+    ell: int,
+    y: float,
+    tol: float = 1e-7,
+) -> complex:
+    """Fourier coefficient a_ell(y) of the incomplete Eisenstein series of
+    the bump of `mellin`, within tol; real, and returned as a complex.
+
+    The route is picked from (ell, y) before any work (`_aell_route`):
+      - unfolding, where its node count fits _UNFOLD_NODE_BUDGET: the finite
+        sum over c with c^2 lo y < 1 of S(ell; c) times a smooth integral
+        over one window (`_a_ell_unfolded`), with no zeta, Gamma, Mellin or
+        Bessel values and no stop rule.  For y lo >= 1 no c reaches the
+        bump and the value is exactly 0.
+      - the spectral integral (`_a_ell_spectral`), for the points past that
+        budget, which lie at y below about 5e-7, where w = 2 pi |ell| y is
+        at most _SPECTRAL_W_MAX and its stop rule is right.
+      - ValueError where neither serves: y that small with a larger w.
+    A w outside [AELL_W_MIN, inf) is refused too (`check_aell_w`).
+    """
+    if not math.isfinite(y) or y <= 0:
+        raise ValueError(f"y must be positive and finite, got {y}")
+    if ell == 0:
+        raise ValueError("ell must be nonzero")
+    windows = _aell_route(ell, y, _aell_w(ell, y), mellin.bump)
+    if windows is None:
+        return _a_ell_spectral(mellin, ell, y, tol)
+    if not windows[0].size:
+        return complex(0.0, 0.0)
+    return complex(_a_ell_unfolded(ell, y, mellin.bump, windows, tol), 0.0)
 
 
 # ---------------------------------------------------------------------------

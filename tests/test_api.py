@@ -56,7 +56,7 @@ def test_every_cache_clear_takes_no_arguments(monkeypatch):
     from shiftsieve import qexpansion as qe
     from shiftsieve import specfun as sf
 
-    sf.a_ell_y(sf.MellinTransform(), 1, 2.0, tol=1e-6)  # a few blocks to clear
+    sf._a_ell_spectral(sf.MellinTransform(), 1, 2.0, tol=1e-6)  # a few blocks to clear
     assert sf._aell_profile.cache_info().currsize > 0
     cleared = []
     for name in MODULES:
@@ -96,7 +96,7 @@ def test_benchmark_reset_empties_prime_table_and_profiles(monkeypatch):
     spec.loader.exec_module(run)
 
     arith.prime_table(10**5)
-    sf.a_ell_y(sf.MellinTransform(), 1, 2.0, tol=1e-6)
+    sf._a_ell_spectral(sf.MellinTransform(), 1, 2.0, tol=1e-6)
     assert arith._primes_limit >= 10**5
     assert sf._aell_profile.cache_info().currsize > 0
     run.reset_program_caches()

@@ -15,6 +15,8 @@ import pytest
 
 from shiftsieve import arith, cli, largesieve, qexpansion, shifted, specfun
 
+from .oracles import aell_unfold
+
 
 def run(tmp_path, name, args):
     out = tmp_path / name
@@ -173,6 +175,15 @@ class TestSpecfunCommand:
             scale = 1.0 / (ell * y)
             bound = tau * y**0.5 * scale**2 * (1.0 + scale) ** 0.3
             assert ratio == pytest.approx(abs(value) / bound, rel=1e-13)
+
+    def test_aell_at_large_w_against_unfolding(self, tmp_path):
+        # the spectral stop rule wrote 3.25e-18 and -2.63e-18 here, with exit 0
+        rc, out = run(tmp_path, "a.csv", ["specfun", "aell", "--ell", "30,100", "--y", "0.3"])
+        assert rc == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().split()[1:]]
+        assert [row[0] for row in rows] == [30, 100]
+        for ell, y, value, _ in rows:
+            assert abs(value - aell_unfold(int(ell), y, specfun.DEFAULT_BUMP)) <= 1e-9
 
     def test_empty_grid_flags_usage_error(self, tmp_path):
         rc, _ = run(tmp_path, "none.csv", ["specfun", "bessel"])
@@ -473,6 +484,7 @@ class TestBoundary:
         (["aell", "--ell", "1", "--y", "1e-307"], "--y"),
         (["aell", "--ell", "1,2", "--y", "0.3,1e-306", "--A", "0", "--eps", "0"], "--y"),
         (["aell", "--ell", "40000000000000000", "--y", "1e300"], "--y"),
+        (["aell", "--ell", "100000000", "--y", "1e-7"], "--y"),
         (["theta", "--re", "0.5", "--im", "1e300"], "--im"),
         (["theta", "--re", "0.5", "--im", "2,-1e18"], "--im"),
         (["theta", "--re", "1e300", "--im", "1"], "--re"),
@@ -480,7 +492,8 @@ class TestBoundary:
         (["gammaratio", "--k", "1" + "0" * 320, "--s", "1"], "--k"),
         (["gammaratio", "--k", "100,1" + "0" * 200, "--s", "1+1j"], "--k"),
         (["gammaratio", "--k", "12", "--s", "1e300"], "--s"),
-    ], ids=["aell-tiny-y", "aell-y-below-w-floor", "aell-w-past-float", "theta-im-1e300",
+    ], ids=["aell-tiny-y", "aell-y-below-w-floor", "aell-w-past-float", "aell-no-route",
+            "theta-im-1e300",
             "theta-im-1e18", "theta-re-1e300", "theta-re-negative", "gammaratio-k-321-digits",
             "gammaratio-k-1e200", "gammaratio-s-1e300"])
     def test_refused_in_one_line_without_warnings(self, tmp_path, capsys, monkeypatch,

@@ -15,12 +15,14 @@ from shiftsieve.arith import divisors
 from .oracles import (
     a_ell_y_per_call,
     aell_unfold,
+    aell_unfold_doubled,
     bessel_k_it_grid,
     bessel_k_scaled_scalar,
     bessel_modulus_oscillatory,
     cgamma,
     k0_decimal,
     mellin_decay_constant,
+    ramanujan_sum,
     w_weight_contour,
     zeta_scalar,
 )
@@ -365,6 +367,13 @@ class TestEisensteinFormulas:
         # mpmath: sqrt(pi) Gamma(s - 1/2) zeta(2s - 1) / (Gamma(s) zeta(2s)) at 1e-7
         assert sf.varphi_s(1e-7).real == pytest.approx(-1.04719764628832e-7, rel=1e-8)
 
+    def test_phi_removable_singularity_at_one_half(self):
+        # Gamma(s - 1/2) and zeta(2s) both have simple poles at s = 1/2, and
+        # phi(s) = -1 + 2 (gamma - log 4 pi)(s - 1/2) + O((s - 1/2)^2)
+        assert sf.varphi_s(0.5) == -1
+        # mpmath at 40 digits: theta(1 - s) / theta(s) at s = 1/2 + 1e-9
+        assert sf.varphi_s(0.5 + 1e-9).real == pytest.approx(-1.00000000390761717, rel=1e-14)
+
     def test_residue_limit_trend(self):
         deviations = []
         for j in (3, 4, 5):
@@ -515,9 +524,112 @@ class TestAell:
             sf.a_ell_y(mellin, 1, 0.0)
 
 
+class TestAellUnfolding:
+    """The unfolding route of `a_ell_y`, the routing between it and the
+    spectral route, and the refusal of a point neither serves."""
+
+    @staticmethod
+    def fail_on(monkeypatch, *names):
+        def fail(*args, **kwargs):
+            raise AssertionError("work done")
+
+        for name in names:
+            monkeypatch.setattr(sf, name, fail)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 5, 6, 12, 30, 100])
+    def test_tol_1e8_reachable(self, mellin, ell):
+        # the spectral stop rule raised ToleranceError at 19 of these 72 points
+        for y in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 1.0):
+            value = sf.a_ell_y(mellin, ell, y, 1e-8).real
+            if y == 1.0:
+                assert value == 0.0
+            else:
+                assert abs(value - aell_unfold_doubled(ell, y, mellin.bump)) <= 1e-8, (ell, y)
+
+    @pytest.mark.parametrize("ell", [1, 10, 30, 100, 1000])
+    def test_differential_grid(self, mellin, ell):
+        tol = 1e-6
+        for y in (1e-4, 0.01, 0.1, 0.3, 0.5, 0.9):
+            value = sf.a_ell_y(mellin, ell, y, tol).real
+            if 2.0 * math.pi * ell * y <= 12.0:
+                want = sf._a_ell_spectral(mellin, ell, y, tol).real
+            else:
+                want = aell_unfold_doubled(ell, y, mellin.bump)
+            assert abs(value - want) <= tol, (ell, y)
+
+    @pytest.mark.parametrize("ell, y", [(1, 1.0), (-7, 1.0), (3, 1.5), (10**12, 2.0), (1, 1e300)])
+    def test_no_term_at_y_one_or_above_gives_zero(self, mellin, monkeypatch, ell, y):
+        self.fail_on(monkeypatch, "_ramanujan_sums", "_window_sums", "_a_ell_spectral")
+        assert sf.a_ell_y(mellin, ell, y) == 0
+
+    def test_window_skipped_only_under_its_bound(self, mellin, monkeypatch):
+        # at ell = 5000, y = 0.3 the one window needs 4250 panels and its
+        # bound 2 ||G''||_1 / (2 pi ell)^2 is 2.6e-7: within tol/2 at 1e-6
+        ell, y = 5000, 0.3
+        want = aell_unfold_doubled(ell, y, mellin.bump)
+        integrated = self.record_windows(monkeypatch)
+        assert sf.a_ell_y(mellin, ell, y, 1e-6) == 0.0
+        assert abs(want) <= 1e-6 / 2
+        assert integrated == [0]
+        integrated.clear()
+        assert sf.a_ell_y(mellin, ell, y, 1e-9).real == pytest.approx(want, abs=1e-13)
+        assert integrated == [1]
+
+    @staticmethod
+    def record_windows(monkeypatch) -> list:
+        """The number of windows each integral pass of `_a_ell_unfolded` takes."""
+        counts = []
+        real = sf._window_sums
+
+        def recorded(y, c, lo, hi, panels, integrand):
+            if panels.size == 0 or panels.max() > sf._UNFOLD_P_MIN:
+                counts.append(c.size)
+            return real(y, c, lo, hi, panels, integrand)
+
+        monkeypatch.setattr(sf, "_window_sums", recorded)
+        return counts
+
+    def test_huge_shift_is_a_bounded_zero(self, mellin):
+        # every window is skipped: its bound is about 3e-20
+        (_, _, _, panels), _ = sf._unfold_windows(10**10, 0.3, mellin.bump)
+        assert panels[0] > 10**9
+        assert sf.a_ell_y(mellin, 10**10, 0.3, 1e-12) == 0.0
+
+    def test_bump_derivatives_against_differences(self):
+        bump = sf.BumpFunction(1.0, 3.0)
+        ts, h = np.linspace(1.05, 2.95, 9), 1e-5
+        first, second = bump.derivatives(ts)
+        assert np.allclose(first, (bump.values(ts + h) - bump.values(ts - h)) / (2 * h),
+                           rtol=0, atol=1e-8)
+        assert np.allclose(second, (bump.values(ts + h) - 2 * bump.values(ts)
+                                    + bump.values(ts - h)) / h**2, rtol=0, atol=1e-5)
+        assert bump.derivatives(np.array([0.5, 1.0, 3.0]))[1].tolist() == [0.0, 0.0, 0.0]
+
+    def test_ramanujan_sums_against_the_gcd_scan(self):
+        for ell in (1, 12, 720720, -30):
+            assert sf._ramanujan_sums(ell, 60).tolist() == [
+                ramanujan_sum(ell, c) for c in range(1, 61)]
+
+    def test_tiny_y_takes_the_spectral_route(self, mellin, monkeypatch):
+        # 2^19 nodes hold about 1365 windows of 24 panels: y below about 5.4e-7
+        self.fail_on(monkeypatch, "_ramanujan_sums", "_window_sums")
+        y = 1e-7
+        assert sf.a_ell_y(mellin, 3, y, 1e-6) == a_ell_y_per_call(mellin, 3, y, 1e-6)
+
+    def test_point_no_route_serves_refused_before_any_work(self, mellin, monkeypatch):
+        # y = 1e-7 needs 3162 windows, and w = 2 pi 1e8 1e-7 = 62.8 > 12
+        self.fail_on(monkeypatch, "_ramanujan_sums", "_window_sums", "_a_ell_spectral",
+                     "_aell_profile")
+        for call in (lambda: sf.a_ell_y(mellin, 10**8, 1e-7), lambda: sf.check_aell_w(10**8, 1e-7)):
+            with pytest.raises(ValueError, match="no route serves"):
+                call()
+        assert sf.check_aell_w(10**6, 1e-7) == pytest.approx(2 * math.pi * 0.1)
+
+
 class TestAellProfile:
-    """The process-wide t-profile cache that `a_ell_y` reads its ell- and
-    y-independent factors from, against the per-call loop it replaced."""
+    """The process-wide t-profile cache that the spectral route of `a_ell_y`
+    reads its ell- and y-independent factors from, against the per-call
+    loop it replaced."""
 
     @pytest.fixture(autouse=True)
     def cold_cache(self):
@@ -549,7 +661,7 @@ class TestAellProfile:
         random.Random(12).shuffle(points)
         values = {}
         for m, ell, y, tol in points:
-            got = sf.a_ell_y(transforms[m], ell, y, tol)
+            got = sf._a_ell_spectral(transforms[m], ell, y, tol)
             assert got == a_ell_y_per_call(transforms[m], ell, y, tol), (m, ell, y, tol)
             values[m, ell, y, tol] = got
         for (m, ell, y, tol), got in values.items():
@@ -559,16 +671,16 @@ class TestAellProfile:
 
     def test_equal_transforms_share_one_entry(self, monkeypatch):
         builds = self.count_block_builds(monkeypatch)
-        first = sf.a_ell_y(sf.MellinTransform(), 1, 0.3, tol=1e-6)
+        first = sf._a_ell_spectral(sf.MellinTransform(), 1, 0.3, tol=1e-6)
         built = len(builds)
-        assert sf.a_ell_y(sf.MellinTransform(), 1, 0.3, tol=1e-6) == first
+        assert sf._a_ell_spectral(sf.MellinTransform(), 1, 0.3, tol=1e-6) == first
         assert len(builds) == built
         assert sf._aell_sums.cache_info().currsize == 1
         assert sf._aell_profile.cache_info().currsize == built
 
     def test_cache_clear_rebuilds(self, monkeypatch):
         builds = self.count_block_builds(monkeypatch)
-        first = sf.a_ell_y(sf.MellinTransform(), 1, 0.3, tol=1e-6)
+        first = sf._a_ell_spectral(sf.MellinTransform(), 1, 0.3, tol=1e-6)
         built = len(builds)
         # the benchmark's reset: every module-level cache_clear
         for value in list(vars(sf).values()):
@@ -576,14 +688,14 @@ class TestAellProfile:
                 value.cache_clear()
         assert sf._aell_sums.cache_info().currsize == 0
         assert sf._aell_profile.cache_info().currsize == 0
-        assert sf.a_ell_y(sf.MellinTransform(), 1, 0.3, tol=1e-6) == first
+        assert sf._a_ell_spectral(sf.MellinTransform(), 1, 0.3, tol=1e-6) == first
         assert len(builds) == 2 * built
 
     def test_later_point_reuses_earlier_blocks(self, mellin, monkeypatch):
         builds = self.count_block_builds(monkeypatch)
-        sf.a_ell_y(mellin, 12, 0.5, tol=1e-6)  # w = 37.7: stops after a few blocks
+        sf._a_ell_spectral(mellin, 12, 0.5, tol=1e-6)  # w = 37.7: stops after a few blocks
         early = [sf._aell_profile(mellin, k) for k in builds]
-        sf.a_ell_y(mellin, 1, 0.3, tol=1e-6)  # w = 1.9: reads far further
+        sf._a_ell_spectral(mellin, 1, 0.3, tol=1e-6)  # w = 1.9: reads far further
         assert builds == list(range(len(builds)))  # no block built twice
         assert len(builds) > len(early) + 10
         assert all(sf._aell_profile(mellin, k) is block for k, block in enumerate(early))
@@ -599,15 +711,17 @@ class TestAellProfile:
 
         monkeypatch.setattr(sf, "_aell_block", failing)
         with pytest.raises(MemoryError):
-            sf.a_ell_y(mellin, 1, 0.3, tol=1e-6)
+            sf._a_ell_spectral(mellin, 1, 0.3, tol=1e-6)
         assert sf._aell_profile.cache_info().currsize == 2
         monkeypatch.undo()
-        assert sf.a_ell_y(mellin, 1, 0.3, tol=1e-6) == a_ell_y_per_call(mellin, 1, 0.3, tol=1e-6)
+        assert sf._a_ell_spectral(mellin, 1, 0.3, tol=1e-6) == a_ell_y_per_call(mellin, 1, 0.3,
+                                                                                   tol=1e-6)
 
 
 class TestAellChunks:
-    """The Debye values and divisor sums that `a_ell_y` takes per chunk of
-    blocks, against the per-block loop of `a_ell_y_per_call`."""
+    """The Debye values and divisor sums that the spectral route of `a_ell_y`
+    takes per chunk of blocks, against the per-block loop of
+    `a_ell_y_per_call`."""
 
     # (ell, y, tol) with the last block read at the end, the start and the
     # middle of the chunk of blocks 80-95; two with a chunk
@@ -642,7 +756,7 @@ class TestAellChunks:
                                   "mixed-100", "no-debye"])
     def test_bitwise_equal_to_per_call_loop(self, mellin, monkeypatch, ell, y, tol, last):
         reads = self.record(monkeypatch, "_aell_profile")
-        got = sf.a_ell_y(mellin, ell, y, tol)
+        got = sf._a_ell_spectral(mellin, ell, y, tol)
         assert [k for _, k in reads] == list(range(last + 1))
         assert got == a_ell_y_per_call(mellin, ell, y, tol)
 
@@ -669,7 +783,7 @@ class TestAellChunks:
 
     def test_early_stop_builds_only_the_first_chunk(self, mellin, monkeypatch):
         nodes = self.record(monkeypatch, "_aell_nodes")
-        sf.a_ell_y(mellin, 10**10, 0.3, 1e-6)
+        sf._a_ell_spectral(mellin, 10**10, 0.3, 1e-6)
         assert nodes == [(0, 3)]
 
     def test_divisor_sums_split_by_cells_equal_one_pass(self):
@@ -681,10 +795,10 @@ class TestAellChunks:
 
     def test_divisor_sums_of_highly_divisible_ell_a_block_at_a_time(self, mellin):
         # 128 x 960 complex terms take 2 MB a matrix; a 16-block chunk at once would take 31 MB
-        sf.a_ell_y(mellin, 1, 0.3, 1e-6)  # the profile blocks, outside the measure
+        sf._a_ell_spectral(mellin, 1, 0.3, 1e-6)  # the profile blocks, outside the measure
         tracemalloc.start()
         try:
-            value = sf.a_ell_y(mellin, self.HIGHLY_DIVISIBLE, 0.3, 1e-6)
+            value = sf._a_ell_spectral(mellin, self.HIGHLY_DIVISIBLE, 0.3, 1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -704,7 +818,7 @@ class TestAellChunks:
         reads = self.record(monkeypatch, "_aell_profile")
         debye = self.record(monkeypatch, "_debye_scaled")
         quadrature = self.record(monkeypatch, "_quadrature_scaled")
-        sf.a_ell_y(mellin, ell, y, 1e-6)
+        sf._a_ell_spectral(mellin, ell, y, 1e-6)
         last = max(k for _, k in reads)
         assert len(debye) <= sum(lo <= last for lo in sf._AELL_CHUNK_EDGES)
         chunked = list(quadrature)
