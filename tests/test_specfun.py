@@ -536,6 +536,20 @@ class TestAellUnfolding:
         for name in names:
             monkeypatch.setattr(sf, name, fail)
 
+    @staticmethod
+    def record_windows(monkeypatch) -> list:
+        """The number of windows each integral pass of `_a_ell_unfolded` takes."""
+        counts = []
+        real = sf._window_sums
+
+        def recorded(y, c, lo, hi, panels, integrand):
+            if panels.size == 0 or panels.max() > sf._UNFOLD_P_MIN:
+                counts.append(c.size)
+            return real(y, c, lo, hi, panels, integrand)
+
+        monkeypatch.setattr(sf, "_window_sums", recorded)
+        return counts
+
     @pytest.mark.parametrize("ell", [1, 2, 3, 5, 6, 12, 30, 100])
     def test_tol_1e8_reachable(self, mellin, ell):
         # the spectral stop rule raised ToleranceError at 19 of these 72 points
@@ -574,20 +588,6 @@ class TestAellUnfolding:
         integrated.clear()
         assert sf.a_ell_y(mellin, ell, y, 1e-9).real == pytest.approx(want, abs=1e-13)
         assert integrated == [1]
-
-    @staticmethod
-    def record_windows(monkeypatch) -> list:
-        """The number of windows each integral pass of `_a_ell_unfolded` takes."""
-        counts = []
-        real = sf._window_sums
-
-        def recorded(y, c, lo, hi, panels, integrand):
-            if panels.size == 0 or panels.max() > sf._UNFOLD_P_MIN:
-                counts.append(c.size)
-            return real(y, c, lo, hi, panels, integrand)
-
-        monkeypatch.setattr(sf, "_window_sums", recorded)
-        return counts
 
     def test_huge_shift_is_a_bounded_zero(self, mellin):
         # every window is skipped: its bound is about 3e-20
