@@ -11,9 +11,10 @@ plus the Eisenstein coefficient formulas, the canonical bump weight, its
 Mellin transform, and the Laplace-form evaluation of the spectral weight
 W(n, ell; Y).  The Eisenstein coefficient a_ell(y) is a finite unfolding sum
 over c, vectorised over all c, wherever that fits a node budget; below
-y of about 5e-7 it is the spectral t-integral, which evaluates its Mellin
-and zeta factors block by block as shifted exponential sums and keeps the
-ell- and y-independent part of each block per bump in a `functools.cache`
+y of about 5e-7 it is the spectral t-integral, read one t-block at a time
+until two blocks add less than tol/8 each to the value.  It evaluates its
+Mellin and zeta factors as shifted exponential sums and keeps the ell- and
+y-independent part of each block per bump in a `functools.cache`
 (`_aell_profile`).
 """
 
@@ -48,7 +49,6 @@ __all__ = [
     "BESSEL_ENVELOPE",
     "theta_s",
     "varphi_s",
-    "varphi_ell",
     "a_ell_y",
     "support_prefactor",
     "w_weight",
@@ -366,28 +366,14 @@ def bessel_k_scaled_grid(ts: np.ndarray, w: float) -> np.ndarray:
     whose Debye expansion has its first omitted term below _DEBYE_TOL take
     that expansion (`_debye_scaled`); this is every order with
     sqrt(t^2 - w^2) above a switch that grows from about 12 at w -> 0 to 64
-    at w = 30.  The others take the quadrature (`_quadrature_scaled`).
+    at w = 30.  The others take the quadrature (`_quadrature_scaled`), all
+    in one call.  The spectral route of `a_ell_y` calls this once per block.
     """
     ts = np.asarray(ts, dtype=float)
     w = float(w)
     if w <= 0:
         raise ValueError(f"argument w must be positive, got {w}")
     t = np.abs(ts).ravel()
-    out, quadrature = _debye_split(t, w)
-    if quadrature.any():
-        out[quadrature] = _quadrature_scaled(t[quadrature], w)
-    return out.reshape(ts.shape)
-
-
-_DEBYE_TERMS = 10  # u_0 .. u_9 are summed; u_10 is the first omitted term
-_DEBYE_TOL = 1e-15  # bound on the first omitted term, a tenth of the 1e-14 aimed at
-
-
-def _debye_split(t: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
-    """The switch between the two routes of `bessel_k_scaled_grid` over a
-    1-D array of orders t >= 0: (out, quadrature), where out holds the Debye
-    value of every order the expansion serves and quadrature marks the
-    others, whose entries of out are left unset."""
     out = np.empty_like(t)
     quadrature = np.ones(t.size, dtype=bool)
     # the expansion is tried only where sqrt(t^2 - w^2) > 1, which keeps
@@ -399,7 +385,13 @@ def _debye_split(t: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
         debye = tried[omitted < _DEBYE_TOL]
         out[debye] = value[omitted < _DEBYE_TOL]
         quadrature[debye] = False
-    return out, quadrature
+    if quadrature.any():
+        out[quadrature] = _quadrature_scaled(t[quadrature], w)
+    return out.reshape(ts.shape)
+
+
+_DEBYE_TERMS = 10  # u_0 .. u_9 are summed; u_10 is the first omitted term
+_DEBYE_TOL = 1e-15  # bound on the first omitted term, a tenth of the 1e-14 aimed at
 
 
 @functools.cache
@@ -621,37 +613,10 @@ def varphi_s(s: complex) -> complex:
     )
 
 
-def varphi_ell(ell: int, s: complex) -> complex:
-    """varphi_ell(s) = (2/theta(s)) sum over ab = ell of (a/b)^{s - 1/2}."""
-    if ell < 1:
-        raise ValueError("ell must be a positive integer")
-    total = 0.0 + 0.0j
-    for a in divisors(ell):
-        total += cmath.exp((complex(s) - 0.5) * math.log(a / (ell // a)))
-    return 2.0 * total / theta_s(s)
-
-
 _AELL_T_CAP = 700.0  # a_ell_y gives up past this t
 _AELL_BLOCK = 4.0  # t-width of a block of the a_ell_y integral
 _AELL_PANELS = 8  # Gauss-Legendre panels per block
 _AELL_BLOCKS = int(_AELL_T_CAP / _AELL_BLOCK) + 1  # 176, the last from t = 700
-_AELL_CHUNK = 16  # most blocks whose Bessel values and divisor sums a_ell_y takes at once
-_AELL_DSUM_CELLS = 1 << 14  # (node, divisor) terms a divisor-sum pass holds, past one block
-
-
-def _aell_chunk_edges() -> tuple[int, ...]:
-    """The first block of each chunk of a_ell_y, and _AELL_BLOCKS: blocks
-    0-2, which every point reads (the stop needs k >= 2), then chunks that
-    end at the next multiple of _AELL_CHUNK but are no longer than all before
-    them together.  A point that reads n blocks thus evaluates at most 2n."""
-    edges = [0, 3]
-    while edges[-1] < _AELL_BLOCKS:
-        lo = edges[-1]
-        edges.append(min(2 * lo, (lo // _AELL_CHUNK + 1) * _AELL_CHUNK, _AELL_BLOCKS))
-    return tuple(edges)
-
-
-_AELL_CHUNK_EDGES = _aell_chunk_edges()  # 0, 3, 6, 12, 16, 32, 48, ..., 160, 176
 
 # The smallest w = 2 pi |ell| y that a_ell_y takes: its Bessel quadrature
 # divides about 3t by w at every order t up to the end of the last block
@@ -729,27 +694,6 @@ def _aell_sums(mellin: MellinTransform) -> tuple[_ShiftedSum, _ShiftedSum]:
     return psi, _ShiftedSum(2.0 * np.log(m), 1.0 / m, offsets, starts)
 
 
-def _aell_nodes(k: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of blocks k .. k + blocks - 1 of the
-    a_ell_y integral, block after block.  Every panel edge is a multiple of
-    1/2, exact in floating point, so a block has the same nodes bit for bit
-    whichever run of blocks they are built in."""
-    lo = _AELL_BLOCK * k
-    edges = np.linspace(lo, lo + _AELL_BLOCK * blocks, _AELL_PANELS * blocks + 1)
-    ts, wt = _gauss_legendre(edges, _GL16)
-    return ts.ravel(), wt.ravel()
-
-
-def _divisor_sums(ts: np.ndarray, log_ratios: np.ndarray) -> np.ndarray:
-    """sum over ab = |ell| of (a/b)^{it} at each node t, from log_ratios =
-    log(a/b), a block at a time or as many blocks as _AELL_DSUM_CELLS terms
-    hold; each row is summed alone, so any split gives the same values."""
-    block = _AELL_PANELS * _GL16[0].size  # nodes per block
-    rows = block * max(1, _AELL_DSUM_CELLS // (block * log_ratios.size))
-    return np.concatenate([np.exp(1j * np.outer(ts[i:i + rows], log_ratios)).sum(axis=1)
-                           for i in range(0, ts.size, rows)])
-
-
 def _aell_block(mellin: MellinTransform, k: int) -> tuple[np.ndarray, ...]:
     """Block [4k, 4k + 4] of the a_ell_y integral: its Gauss-Legendre nodes
     ts and weights, and Psi(-1/2 - it) and zeta(1 + 2it) at the nodes, from
@@ -757,7 +701,8 @@ def _aell_block(mellin: MellinTransform, k: int) -> tuple[np.ndarray, ...]:
     `zeta` takes at the largest node, plus its Euler-Maclaurin remainder."""
     psi, head = _aell_sums(mellin)
     lo = _AELL_BLOCK * k
-    ts, wt = _aell_nodes(k, 1)
+    ts, wt = _gauss_legendre(np.linspace(lo, lo + _AELL_BLOCK, _AELL_PANELS + 1), _GL16)
+    ts, wt = ts.ravel(), wt.ravel()
     n = int(_zeta_terms(2.0 * ts[-1]))
     zeta_1_2it = _add_euler_maclaurin(head.block(lo, n - 1), 1.0 + 2j * ts, float(n))
     return ts, wt, psi.block(lo, psi.lam.size), zeta_1_2it
@@ -779,51 +724,39 @@ def _a_ell_spectral(mellin: MellinTransform, ell: int, y: float, tol: float = 1e
     a_ell(y) = sqrt(y/pi) * integral over t of
         pi^{it} Psi(-1/2-it) / (Gamma(1/2+it) zeta(1+2it))
         * sum_{ab=|ell|} (a/b)^{it} * K_{it}(2 pi |ell| y) dt,
-    summed over t-blocks of width 4 (`_aell_block`) and truncated once two
-    consecutive blocks from block 2 on fall below tol/8 (the Mellin
-    transform of the bump decays like exp(-c sqrt|t|), which dictates the
-    range).  The stop is right only while w = 2 pi |ell| y is small: past
-    w of about 20 blocks 1-2 lie below the turning point t = w, where the
-    integrand is exponentially small, and the loop may stop before the
-    mass of the integral, so `a_ell_y` sends it no w past _SPECTRAL_W_MAX.
+    summed over t-blocks of width 4 (`_aell_block`), one block at a time,
+    and truncated once two consecutive blocks from block 2 on add less than
+    tol/8 each to the value, that is once 2 sqrt(y/pi) times the block's
+    integral falls below tol/8 (the Mellin transform of the bump decays
+    like exp(-c sqrt|t|), which dictates the range).  The stop is right
+    only while w = 2 pi |ell| y is small: blocks 0-2, which every point
+    reads, span t in [0, 12], and past that the turning point t = w, where
+    the mass of the integral begins, may lie beyond the stop, so `a_ell_y`
+    sends it no w past _SPECTRAL_W_MAX.
     Everything but the Bessel values and the divisor sum is read from the
     process-wide cache `_aell_profile`, keyed on `mellin` and the block and
     emptied by `_aell_profile.cache_clear()`: a process builds each block's
     profile once per bump, for the first point that reads that far.
     K_{it}/Gamma(1/2+it) is evaluated through the scaled Bessel values of
-    `bessel_k_scaled_grid`, so large orders stay numerically clean; past
-    the Debye switch they cost a formula, not a quadrature.  The Debye
-    values and the divisor sums are taken once per chunk of up to
-    _AELL_CHUNK blocks (t-width 64, `_aell_chunk_edges`), held only for
-    the call, and the quadrature once per block read,
-    over that block's other orders: each value is the one
-    `bessel_k_scaled_grid` gives per block, bit for bit.  A w outside
-    [AELL_W_MIN, inf) is refused before any block.
+    `bessel_k_scaled_grid`, one call per block, so large orders stay
+    numerically clean; past the Debye switch they cost a formula, not a
+    quadrature.  A w outside [AELL_W_MIN, inf) is refused before any block.
     The integrand at -t is the conjugate of the value at t, hence the
     integral is twice the real part over t >= 0 and the result is real.
     """
     w = _aell_w(ell, y)
     aell = abs(ell)
     log_ratios = np.array([math.log(a / (aell // a)) for a in divisors(aell)])
+    scale = 2.0 * math.sqrt(y / math.pi)
 
     total = 0.0 + 0.0j
     quiet = 0
-    edges = iter(_AELL_CHUNK_EDGES[1:])
-    start = end = 0
     for k in range(_AELL_BLOCKS):
-        if k == end:
-            start, end = k, next(edges)
-            chunk_ts, _ = _aell_nodes(start, end - start)
-            chunk_kvals, chunk_quadrature = _debye_split(chunk_ts, w)
-            chunk_dsums = _divisor_sums(chunk_ts, log_ratios)
         ts, wt, profile = _aell_profile(mellin, k)
-        block = slice((k - start) * ts.size, (k - start + 1) * ts.size)
-        kvals, quadrature = chunk_kvals[block], chunk_quadrature[block]
-        if quadrature.any():
-            kvals[quadrature] = _quadrature_scaled(ts[quadrature], w)
-        contrib = complex(np.dot(wt, profile * chunk_dsums[block] * kvals))
+        dsum = np.exp(1j * np.outer(ts, log_ratios)).sum(axis=1)
+        contrib = complex(np.dot(wt, profile * dsum * bessel_k_scaled_grid(ts, w)))
         total += contrib
-        if abs(contrib) < tol / 8.0:
+        if scale * abs(contrib) < tol / 8.0:
             quiet += 1
             if quiet >= 2 and k >= 2:
                 break
@@ -833,8 +766,7 @@ def _a_ell_spectral(mellin: MellinTransform, ell: int, y: float, tol: float = 1e
         raise ToleranceError(
             f"tail tolerance {tol} unattainable below t = {_AELL_T_CAP} for ell={ell}, y={y}"
         )
-    value = math.sqrt(y / math.pi) * 2.0 * total.real
-    return complex(value, 0.0)
+    return complex(scale * total.real, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -850,8 +782,12 @@ _UNFOLD_P_MIN = 24
 # A c-window that needs more panels than this may be skipped under its
 # bound; the smallest power of 4 at which tol = 1e-6 never ran out of nodes.
 _UNFOLD_SKIP_PANELS = 1024
-# The largest w = 2 pi |ell| y the spectral route serves: its stop rule
-# stayed within 1e-3 tol up to w = 16 and missed tol at w = 24.5.
+# The largest w = 2 pi |ell| y the spectral route serves: every point reads
+# blocks 0-2, t in [0, 12], before its stop rule may end the integral, so up
+# to w = 12 the turning point t = w, below which the integrand is
+# exponentially small, is always read.  Past it the rule may stop at block 2
+# before the mass: at w = 16 it missed tol 1e-5 by 2.4 tol, and at w = 24.5
+# tol 1e-7 by 2100 tol.
 _SPECTRAL_W_MAX = 12.0
 
 

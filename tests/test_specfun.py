@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from shiftsieve import specfun as sf
-from shiftsieve.arith import divisors
 
 from .oracles import (
     a_ell_y_per_call,
@@ -400,30 +399,6 @@ class TestEisensteinFormulas:
         assert val.real == pytest.approx(expected, rel=1e-12)
         assert abs(val.imag) < 1e-14
 
-    def test_varphi_ell_single_divisor(self):
-        s = complex(0.7, 1.3)
-        assert sf.varphi_ell(1, s) == pytest.approx(2.0 / sf.theta_s(s), rel=1e-12)
-
-    def test_varphi_ell_divisor_sum(self):
-        s = complex(0.6, 0.4)
-        expected = (
-            2.0
-            / sf.theta_s(s)
-            * sum((a / (6 // a)) ** (s - 0.5) for a in (1, 2, 3, 6))
-        )
-        assert sf.varphi_ell(6, s) == pytest.approx(expected, rel=1e-12)
-
-    def test_varphi_ell_large_ell_by_its_divisors(self):
-        # sum over ab = ell of (a/b)^{s-1/2} = ell^{1/2-s} sigma_{2s-1}(ell), and
-        # sigma_c(2^10 5^10) is a product of two geometric sums
-        s = complex(2.0, 1.0)
-        c = 2 * s - 1
-        sigma = math.prod((p ** (11 * c) - 1) / (p**c - 1) for p in (2, 5))
-        start = time.perf_counter()
-        value = sf.varphi_ell(10**10, s)
-        assert time.perf_counter() - start < 1.0
-        assert value == pytest.approx(2.0 / sf.theta_s(s) * 1e10 ** (0.5 - s) * sigma, rel=1e-10)
-
     def test_pole_guards(self):
         with pytest.raises(sf.PoleError):
             sf.theta_s(0.5)
@@ -629,7 +604,10 @@ class TestAellUnfolding:
 class TestAellProfile:
     """The process-wide t-profile cache that the spectral route of `a_ell_y`
     reads its ell- and y-independent factors from, against the per-call
-    loop it replaced."""
+    loop it replaced, at points that route serves (y < 5.4e-7, w <= 12)."""
+
+    # w = 0.001: stops at block 12 at tol 1e-6
+    POINT = (1592, 1e-7)
 
     @pytest.fixture(autouse=True)
     def cold_cache(self):
@@ -653,14 +631,16 @@ class TestAellProfile:
 
     def test_bitwise_equal_to_per_call_loop(self):
         # three transforms called interleaved, so no key can serve another's
-        # profile, at points in a seeded shuffled order
+        # profile, at points in a seeded shuffled order; w from 6e-8 to 9.4
         transforms = (sf.MellinTransform(), sf.MellinTransform(nodes=512),
                       sf.MellinTransform(sf.BumpFunction(1.0, 3.0)))
-        points = list(itertools.product(range(3), (1, -1, 2, -2, 3, 6, 12),
-                                        (0.1, 0.2014, 0.3, 0.5), (1e-6, 1e-7)))
+        points = list(itertools.product(range(3), (1, -1, 12, -12, 720720, -720720, 3000000),
+                                        (1e-8, 1e-7, 2.014e-7, 5e-7), (1e-6, 1e-7)))
         random.Random(12).shuffle(points)
         values = {}
         for m, ell, y, tol in points:
+            w = 2.0 * math.pi * abs(ell) * y
+            assert sf._aell_route(ell, y, w, transforms[m].bump) is None
             got = sf._a_ell_spectral(transforms[m], ell, y, tol)
             assert got == a_ell_y_per_call(transforms[m], ell, y, tol), (m, ell, y, tol)
             values[m, ell, y, tol] = got
@@ -671,16 +651,16 @@ class TestAellProfile:
 
     def test_equal_transforms_share_one_entry(self, monkeypatch):
         builds = self.count_block_builds(monkeypatch)
-        first = sf._a_ell_spectral(sf.MellinTransform(), 1, 0.3, tol=1e-6)
+        first = sf._a_ell_spectral(sf.MellinTransform(), *self.POINT, tol=1e-6)
         built = len(builds)
-        assert sf._a_ell_spectral(sf.MellinTransform(), 1, 0.3, tol=1e-6) == first
+        assert sf._a_ell_spectral(sf.MellinTransform(), *self.POINT, tol=1e-6) == first
         assert len(builds) == built
         assert sf._aell_sums.cache_info().currsize == 1
         assert sf._aell_profile.cache_info().currsize == built
 
     def test_cache_clear_rebuilds(self, monkeypatch):
         builds = self.count_block_builds(monkeypatch)
-        first = sf._a_ell_spectral(sf.MellinTransform(), 1, 0.3, tol=1e-6)
+        first = sf._a_ell_spectral(sf.MellinTransform(), *self.POINT, tol=1e-6)
         built = len(builds)
         # the benchmark's reset: every module-level cache_clear
         for value in list(vars(sf).values()):
@@ -688,14 +668,14 @@ class TestAellProfile:
                 value.cache_clear()
         assert sf._aell_sums.cache_info().currsize == 0
         assert sf._aell_profile.cache_info().currsize == 0
-        assert sf._a_ell_spectral(sf.MellinTransform(), 1, 0.3, tol=1e-6) == first
+        assert sf._a_ell_spectral(sf.MellinTransform(), *self.POINT, tol=1e-6) == first
         assert len(builds) == 2 * built
 
     def test_later_point_reuses_earlier_blocks(self, mellin, monkeypatch):
         builds = self.count_block_builds(monkeypatch)
-        sf._a_ell_spectral(mellin, 12, 0.5, tol=1e-6)  # w = 37.7: stops after a few blocks
+        sf._a_ell_spectral(mellin, 3000000, 5e-7, tol=1e-4)  # w = 9.4: stops at block 2
         early = [sf._aell_profile(mellin, k) for k in builds]
-        sf._a_ell_spectral(mellin, 1, 0.3, tol=1e-6)  # w = 1.9: reads far further
+        sf._a_ell_spectral(mellin, 1, 1e-7, tol=1e-9)  # w = 6.3e-7: reads to block 33
         assert builds == list(range(len(builds)))  # no block built twice
         assert len(builds) > len(early) + 10
         assert all(sf._aell_profile(mellin, k) is block for k, block in enumerate(early))
@@ -711,29 +691,28 @@ class TestAellProfile:
 
         monkeypatch.setattr(sf, "_aell_block", failing)
         with pytest.raises(MemoryError):
-            sf._a_ell_spectral(mellin, 1, 0.3, tol=1e-6)
+            sf._a_ell_spectral(mellin, *self.POINT, tol=1e-6)
         assert sf._aell_profile.cache_info().currsize == 2
         monkeypatch.undo()
-        assert sf._a_ell_spectral(mellin, 1, 0.3, tol=1e-6) == a_ell_y_per_call(mellin, 1, 0.3,
-                                                                                   tol=1e-6)
+        assert sf._a_ell_spectral(mellin, *self.POINT, tol=1e-6) == a_ell_y_per_call(
+            mellin, *self.POINT, tol=1e-6)
 
 
 class TestAellChunks:
-    """The Debye values and divisor sums that the spectral route of `a_ell_y`
-    takes per chunk of blocks, against the per-block loop of
-    `a_ell_y_per_call`."""
+    """The spectral route of `a_ell_y`, which reads one block at a time where
+    it once took its Bessel values and divisor sums per chunk of blocks: its
+    stop rule against the unfolding sum, and its loop against the per-block
+    loop of `a_ell_y_per_call`, at points it serves (y < 5.4e-7, w <= 12)."""
 
-    # (ell, y, tol) with the last block read at the end, the start and the
-    # middle of the chunk of blocks 80-95; two with a chunk
-    # that has blocks of both routes (w = 22.6 and 18.8); and ell = 1e10 (w =
-    # 1.9e10), which stops at the end of the first chunk (0-2)
+    # (ell, y, tol, last block read): w = 9.4, whose blocks 0-2 hold no Debye
+    # order and which stops at block 2, the earliest stop; two at w = 1.9e-5
+    # and 1.9e-4, whose block 2 holds orders of both Bessel routes; and
+    # tol 1e-9 at w = 9.4, which reads past the Debye switch to block 93
     POINTS = (
-        (1, 0.5, 1e-6, 95),
-        (3, 0.2, 1e-6, 80),
-        (2, 0.1, 1e-6, 88),
-        (30, 0.12, 1e-6, 89),
-        (100, 0.03, 1e-6, 90),
-        (10**10, 0.3, 1e-6, 2),
+        (3000000, 5e-7, 1e-4, 2),
+        (30, 1e-7, 1e-6, 9),
+        (100, 3e-7, 1e-6, 13),
+        (3000000, 5e-7, 1e-9, 93),
     )
     # 2^4 3^2 5 7 11 13 17 19, with 960 divisors
     HIGHLY_DIVISIBLE = 232792560
@@ -751,82 +730,41 @@ class TestAellChunks:
         monkeypatch.setattr(sf, name, recorded)
         return calls
 
+    def test_spectral_w_max_within_the_blocks_every_point_reads(self):
+        assert sf._SPECTRAL_W_MAX <= 3 * sf._AELL_BLOCK
+
+    @pytest.mark.parametrize("y", [1e-7, 3e-7, 5e-7])
+    def test_tol_1e9_reachable_on_the_spectral_route(self, mellin, y):
+        # the stop rule on the integral, before it was scaled to the value,
+        # raised ToleranceError at 3 of these 12 points at tol 1e-8 and at
+        # all 12 at tol 1e-9
+        for w in (0.1, 1.0, 6.0, 11.9):
+            ell = round(w / (2.0 * math.pi * y))
+            assert sf._aell_route(ell, y, 2.0 * math.pi * ell * y, mellin.bump) is None
+            want = aell_unfold_doubled(ell, y, mellin.bump)
+            for tol in (1e-8, 1e-9):
+                assert abs(sf.a_ell_y(mellin, ell, y, tol).real - want) <= tol, (ell, y, tol)
+
     @pytest.mark.parametrize("ell, y, tol, last", POINTS,
-                             ids=["chunk-end", "chunk-start", "mid-chunk", "mixed-30",
-                                  "mixed-100", "no-debye"])
+                             ids=["no-debye", "mixed-30", "mixed-100", "tol-1e-9"])
     def test_bitwise_equal_to_per_call_loop(self, mellin, monkeypatch, ell, y, tol, last):
         reads = self.record(monkeypatch, "_aell_profile")
         got = sf._a_ell_spectral(mellin, ell, y, tol)
         assert [k for _, k in reads] == list(range(last + 1))
         assert got == a_ell_y_per_call(mellin, ell, y, tol)
 
-    def test_chunks_named_mixed_take_both_routes(self):
-        edges = sf._AELL_CHUNK_EDGES
-        for ell, y, _, last in self.POINTS[3:5]:
-            mixed = []
-            for lo, hi in zip(edges, edges[1:]):
-                ts, _ = sf._aell_nodes(lo, hi - lo)
-                _, quadrature = sf._debye_split(ts, 2.0 * math.pi * ell * y)
-                per_block = quadrature.reshape(hi - lo, -1)
-                if per_block[0].all() and not per_block[-1].all():
-                    mixed.append(lo)
-            assert mixed and mixed[0] <= last
-        ts, _ = sf._aell_nodes(0, sf._AELL_BLOCKS)
-        assert sf._debye_split(ts, 2.0 * math.pi * 10**10 * 0.3)[1].all()
-
-    def test_chunk_edges_at_most_double_the_blocks_read(self):
-        edges = sf._AELL_CHUNK_EDGES
-        assert edges[:2] == (0, 3) and edges[-1] == sf._AELL_BLOCKS
-        for lo, hi in zip(edges[1:], edges[2:]):
-            assert 0 < hi - lo <= min(lo, sf._AELL_CHUNK)
-        assert max(b - a for a, b in zip(edges, edges[1:])) == sf._AELL_CHUNK
-
-    def test_early_stop_builds_only_the_first_chunk(self, mellin, monkeypatch):
-        nodes = self.record(monkeypatch, "_aell_nodes")
-        sf._a_ell_spectral(mellin, 10**10, 0.3, 1e-6)
-        assert nodes == [(0, 3)]
-
-    def test_divisor_sums_split_by_cells_equal_one_pass(self):
-        ts, _ = sf._aell_nodes(0, sf._AELL_CHUNK)
-        for ell in (1, 6, 720720, self.HIGHLY_DIVISIBLE):
-            log_ratios = np.array([math.log(a / (ell // a)) for a in divisors(ell)])
-            whole = np.exp(1j * np.outer(ts, log_ratios)).sum(axis=1)
-            assert np.array_equal(sf._divisor_sums(ts, log_ratios), whole)
-
     def test_divisor_sums_of_highly_divisible_ell_a_block_at_a_time(self, mellin):
-        # 128 x 960 complex terms take 2 MB a matrix; a 16-block chunk at once would take 31 MB
-        sf._a_ell_spectral(mellin, 1, 0.3, 1e-6)  # the profile blocks, outside the measure
+        # 128 x 960 complex terms take 2 MB a matrix; 16 blocks at once would take 31 MB
+        ell, y = self.HIGHLY_DIVISIBLE, 1e-9  # w = 1.5
+        sf._a_ell_spectral(mellin, 1, y, 1e-6)  # the profile blocks, outside the measure
         tracemalloc.start()
         try:
-            value = sf._a_ell_spectral(mellin, self.HIGHLY_DIVISIBLE, 0.3, 1e-6)
+            value = sf._a_ell_spectral(mellin, ell, y, 1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8e6
-        assert value == a_ell_y_per_call(mellin, self.HIGHLY_DIVISIBLE, 0.3, 1e-6)
-
-    def test_chunk_nodes_are_the_block_nodes(self, mellin):
-        ts, wt = sf._aell_nodes(0, sf._AELL_BLOCKS)
-        for k in (0, 15, 16, 100, sf._AELL_BLOCKS - 1):
-            block_ts, block_wt, _ = sf._aell_profile(mellin, k)
-            assert np.array_equal(ts[128 * k:128 * (k + 1)], block_ts)
-            assert np.array_equal(wt[128 * k:128 * (k + 1)], block_wt)
-
-    @pytest.mark.parametrize("ell, y", [(1, 0.3), (12, 0.25), (30, 0.12), (6, 1.0)])
-    def test_debye_once_per_chunk_and_quadrature_as_per_block(self, mellin, monkeypatch,
-                                                                ell, y):
-        reads = self.record(monkeypatch, "_aell_profile")
-        debye = self.record(monkeypatch, "_debye_scaled")
-        quadrature = self.record(monkeypatch, "_quadrature_scaled")
-        sf._a_ell_spectral(mellin, ell, y, 1e-6)
-        last = max(k for _, k in reads)
-        assert len(debye) <= sum(lo <= last for lo in sf._AELL_CHUNK_EDGES)
-        chunked = list(quadrature)
-        quadrature.clear()
-        a_ell_y_per_call(mellin, ell, y, 1e-6)
-        assert len(chunked) == len(quadrature) > 0
-        for (t, w), (t_ref, w_ref) in zip(chunked, quadrature):
-            assert w == w_ref and t.dtype == t_ref.dtype and np.array_equal(t, t_ref)
+        assert value == a_ell_y_per_call(mellin, ell, y, 1e-6)
 
     @pytest.mark.parametrize("ell, y", [(1, 1e-307), (1, 2.4930857834148824e-306),
                                         (4 * 10**16, 1e300)],
@@ -844,7 +782,7 @@ class TestAellChunks:
         assert 2.0 * math.pi * y >= sf.AELL_W_MIN > 2.0 * math.pi * np.nextafter(y, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ts, _ = sf._aell_nodes(0, sf._AELL_BLOCKS)
+            ts = np.concatenate([sf._aell_profile(mellin, k)[0] for k in range(sf._AELL_BLOCKS)])
             assert np.isfinite(sf.bessel_k_scaled_grid(ts, sf.AELL_W_MIN)).all()
             assert sf.a_ell_y(mellin, 1, y, tol=1e-6) == a_ell_y_per_call(mellin, 1, y, 1e-6)
 
