@@ -58,7 +58,7 @@ SIEVECHECK_COUNT_MAX = 50_000
 # budget of 1 GiB over the peak bytes per table entry.  --function holds
 # about 50 (the float handle, its int64 build, the smooth-part table;
 # 228 MB at x = 4e6) and --weight up to about 1000 (the exact q-expansion
-# and its products; 130 MB at x = 1e5 for weight 26), measured on a 2-core
+# and its products; 112 MB at x = 1e5 for weight 26), measured on a 2-core
 # x86 machine with CPython integers.
 SHIFTED_LIMIT_MAX = {"function": (1 << 30) // 50, "weight": (1 << 30) // 1000}
 

@@ -68,11 +68,6 @@ class QExpansion:
             raise ValueError(f"cannot extend cutoff {self.cutoff} to {cutoff}")
         return QExpansion(self.weight, self.coeffs[: cutoff + 1])
 
-    def mul(self, other: "QExpansion") -> "QExpansion":
-        n = min(len(self.coeffs), len(other.coeffs))
-        prod = mul_trunc(list(self.coeffs), list(other.coeffs), n)
-        return QExpansion(self.weight + other.weight, tuple(prod))
-
 
 def eisenstein_qexp(weight: int, cutoff: int) -> QExpansion:
     """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n.
@@ -112,9 +107,10 @@ def delta_qexp(cutoff: int) -> QExpansion:
 
     Built as q * (eta^3)^8 with eta^3 given by its sparse classical
     expansion; the first square is a direct sparse convolution, the rest go
-    through the exact packed product.  Construction is cross-checked against
-    (E4^3 - E6^2)/1728 on an initial segment; the full-range comparison
-    lives in delta_qexp_from_eisenstein.
+    through the exact packed product, the last one sized by Deligne's bound
+    |tau(m)| <= d(m) m^(11/2) <= 2 m^6.  Construction is cross-checked
+    against (E4^3 - E6^2)/1728 on an initial segment; the full-range
+    comparison lives in delta_qexp_from_eisenstein.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -130,7 +126,7 @@ def delta_qexp(cutoff: int) -> QExpansion:
                 break
             e6[s] += ci * e3[j] if i == j else 2 * ci * e3[j]
     e12 = square_trunc(e6, n)
-    e24 = square_trunc(e12, n)
+    e24 = square_trunc(e12, n, bound=2 * n**6)  # e24[m - 1] = tau(m), m <= n
     coeffs = tuple([0] + e24)
     delta = QExpansion(12, coeffs)
     check_to = min(cutoff, 200)
@@ -226,8 +222,11 @@ def _largest_form(weight: int, cutoff: int) -> EigenForm:
     if weight == 12:
         form = EigenForm(12, delta_qexp(cutoff))
     else:
-        delta = _largest_form(12, cutoff).qexp
-        form = EigenForm(weight, delta.mul(eisenstein_qexp(weight - 12, cutoff)))
+        delta = _largest_form(12, cutoff).qexp.coeffs
+        eis = eisenstein_qexp(weight - 12, cutoff).coeffs
+        # Deligne: |a(n)| <= d(n) n^((k-1)/2) <= 2 n^(k/2) <= 2 cutoff^(k/2)
+        coeffs = mul_trunc(list(delta), list(eis), cutoff + 1, bound=2 * cutoff ** (weight // 2))
+        form = EigenForm(weight, QExpansion(weight, tuple(coeffs)))
     _largest[weight] = form
     return form
 
@@ -241,10 +240,13 @@ def eigenform(weight: int, cutoff: int) -> EigenForm:
 
     Delta for weight 12, Delta * E_{k-12} otherwise; the cusp spaces for
     weights 16, 18, 20, 22, 26 are one-dimensional, so the normalized
-    product is automatically the Hecke eigenform.  Each weight keeps the
-    form at the largest cutoff asked for (see `_largest_form`), so Delta is
-    built and cross-checked once for all six weights, and a cutoff no
-    larger than one already built costs a truncation, not a product.
+    product is automatically the Hecke eigenform.  Deligne's bound
+    |a(n)| <= d(n) n^((k-1)/2) (Publ. Math. IHES 43, 1974) sizes the exact
+    product Delta * E_{k-12} and the last squaring in Delta.  Each weight
+    keeps the form at the largest cutoff asked for (see `_largest_form`),
+    so Delta is built and cross-checked once for all six weights, and a
+    cutoff no larger than one already built costs a truncation, not a
+    product.
     """
     if weight not in SUPPORTED_EIGEN_WEIGHTS:
         raise UnsupportedWeightError(

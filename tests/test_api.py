@@ -32,11 +32,16 @@ def test_star_import(name):
     exec(f"from {name} import *", {})
 
 
-def test_benchmark_traced_names_resolve():
+def _load_spans():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_traced_names_resolve():
+    spans = _load_spans()
     assert spans.TRACED
     missing = []
     for module_name, qualname in spans.TRACED:
@@ -102,3 +107,26 @@ def test_benchmark_reset_empties_prime_table_and_profiles(monkeypatch):
     run.reset_program_caches()
     assert arith._primes_limit == 0
     assert sf._aell_profile.cache_info().currsize == 0
+
+
+def test_tracer_counts_every_series_product():
+    """The tracer counts a `mul_trunc` call's coefficients only when it has
+    exactly three positional arguments, so a bound must go by keyword.
+    eigenform(26, 60) from a cleared memo makes six products: two squarings
+    for Delta at n = 60, three for its Eisenstein cross-check at n = 61 and
+    Delta * E14 at n = 61."""
+    from shiftsieve import qexpansion as qe
+
+    for name in MODULES:
+        importlib.import_module(name)
+    tracer = _load_spans().Tracer()
+    qe._largest_form.cache_clear()
+    tracer.install()
+    try:
+        qe.eigenform(26, 60)
+    finally:
+        tracer.uninstall()
+        qe._largest_form.cache_clear()
+    counts = tracer.snapshot()
+    assert counts["intpoly.mul_trunc.calls"] == 6
+    assert counts["intpoly.mul_trunc.coeffs"] == 2 * 60 + 4 * 61

@@ -7,6 +7,7 @@ import pytest
 
 from shiftsieve import qexpansion as qe
 from shiftsieve.arith import prime_table
+from shiftsieve.intpoly import mul_trunc
 
 from .oracles import divisor_count, mul_trunc_schoolbook
 
@@ -154,11 +155,15 @@ class TestEigenform:
 
 
 def direct_eigenform(weight, cutoff):
-    """The eigenform built from scratch, bypassing the per-weight memo."""
-    delta = qe.delta_qexp(cutoff)
+    """The eigenform built from scratch, bypassing the per-weight memo: Delta
+    as (E4^3 - E6^2)/1728 and every product by `mul_trunc` without a
+    `bound`, so no slot is sized by Deligne's bound."""
+    delta = qe.delta_qexp_from_eisenstein(cutoff)
     if weight == 12:
         return qe.EigenForm(12, delta)
-    return qe.EigenForm(weight, delta.mul(qe.eisenstein_qexp(weight - 12, cutoff)))
+    eis = qe.eisenstein_qexp(weight - 12, cutoff)
+    coeffs = mul_trunc(list(delta.coeffs), list(eis.coeffs), cutoff + 1)
+    return qe.EigenForm(weight, qe.QExpansion(weight, tuple(coeffs)))
 
 
 class TestLargestFormMemo:
@@ -180,6 +185,14 @@ class TestLargestFormMemo:
             fresh = qe.eigenform(k, c)
             assert form.cutoff == c
             assert form == fresh == direct_eigenform(k, c)
+
+    def test_deligne_sized_products_equal_unbounded_ones(self):
+        # every cutoff 1..120 crosses small slot widths and the q^0..q^2
+        # edge cases; the last three reach the widths of the CLI and bench
+        for c in [*range(1, 121), 321, 1000, 5000]:
+            qe._largest_form.cache_clear()
+            for k in ALL_WEIGHTS:
+                assert qe.eigenform(k, c) == direct_eigenform(k, c), (k, c)
 
     def test_seeded_request_sequence(self):
         rng = random.Random(10)
