@@ -66,8 +66,8 @@ SHIFTED_LIMIT_MAX = {"function": (1 << 30) // 50, "weight": (1 << 30) // 1000}
 # --weight`, 1 GiB over about 1000 bytes per entry.
 CUTOFF_MAX = SHIFTED_LIMIT_MAX["weight"]
 
-# Largest |ell| `specfun aell` takes: its divisors come from trial division
-# by the primes up to arith.PRIME_TABLE_MAX.
+# Largest |ell| `specfun aell` takes: its bound_ratio's tau(|ell|) and the
+# spectral divisor sum factor |ell| by trial division up to PRIME_TABLE_MAX.
 AELL_ELL_MAX = arith.PRIME_TABLE_MAX**2
 
 # Largest |Re s| `specfun theta` takes: theta(s) = pi^{-s} Gamma(s) zeta(2s)

@@ -107,10 +107,11 @@ def delta_qexp(cutoff: int) -> QExpansion:
 
     Built as q * (eta^3)^8 with eta^3 given by its sparse classical
     expansion; the first square is a direct sparse convolution, the rest go
-    through the exact packed product, the last one sized by Deligne's bound
-    |tau(m)| <= d(m) m^(11/2) <= 2 m^6.  Construction is cross-checked
-    against (E4^3 - E6^2)/1728 on an initial segment; the full-range
-    comparison lives in delta_qexp_from_eisenstein.
+    through the exact packed product, each sized by Deligne's bound (1974):
+    eta(2z)^12 = sum_i e12[i] q^(2i+1) is the weight-6 newform of level 4,
+    so |e12[i]| <= 2 (2i+1)^3, and |tau(m)| <= d(m) m^(11/2) <= 2 m^6.
+    Construction is cross-checked against (E4^3 - E6^2)/1728 on an initial
+    segment; the full-range comparison lives in delta_qexp_from_eisenstein.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -125,7 +126,7 @@ def delta_qexp(cutoff: int) -> QExpansion:
             if s >= n:
                 break
             e6[s] += ci * e3[j] if i == j else 2 * ci * e3[j]
-    e12 = square_trunc(e6, n)
+    e12 = square_trunc(e6, n, bound=2 * (2 * n - 1) ** 3)
     e24 = square_trunc(e12, n, bound=2 * n**6)  # e24[m - 1] = tau(m), m <= n
     coeffs = tuple([0] + e24)
     delta = QExpansion(12, coeffs)

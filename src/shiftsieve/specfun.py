@@ -10,12 +10,12 @@ enough past the turning point t = w to the Debye expansion (DLMF 10.41.4),
 plus the Eisenstein coefficient formulas, the canonical bump weight, its
 Mellin transform, and the Laplace-form evaluation of the spectral weight
 W(n, ell; Y).  The Eisenstein coefficient a_ell(y) is a finite unfolding sum
-over c, vectorised over all c, wherever that fits a node budget; below
-y of about 5e-7 it is the spectral t-integral, read one t-block at a time
-until two blocks add less than tol/8 each to the value.  It evaluates its
-Mellin and zeta factors as shifted exponential sums and keeps the ell- and
-y-independent part of each block per bump in a `functools.cache`
-(`_aell_profile`).
+over c, vectorised over all c, wherever that fits a node budget; below y of
+about 5e-7 and for w up to 688 it is the spectral t-integral, read one block
+at a time until three blocks past the turning point t = w add less than
+tol/8 each to the value, with its Mellin and zeta factors as shifted
+exponential sums and the ell- and y-independent part of each block kept per
+bump in a `functools.cache` (`_aell_profile`).
 """
 
 from __future__ import annotations
@@ -617,11 +617,18 @@ _AELL_T_CAP = 700.0  # a_ell_y gives up past this t
 _AELL_BLOCK = 4.0  # t-width of a block of the a_ell_y integral
 _AELL_PANELS = 8  # Gauss-Legendre panels per block
 _AELL_BLOCKS = int(_AELL_T_CAP / _AELL_BLOCK) + 1  # 176, the last from t = 700
+_AELL_QUIET = 3  # consecutive quiet blocks that end the a_ell_y integral
 
 # The smallest w = 2 pi |ell| y that a_ell_y takes: its Bessel quadrature
 # divides about 3t by w at every order t up to the end of the last block
 # (t = 704), which leaves the float range below this (about 1.6e-305).
 AELL_W_MIN = 4.0 * _AELL_BLOCK * _AELL_BLOCKS / sys.float_info.max
+
+
+def _aell_first_quiet(w: float) -> int:
+    """The first block the a_ell_y stop rule counts: block 2, or the first
+    wholly past the turning point t = w of K_{it}(w) (DLMF 10.41)."""
+    return max(2, math.ceil(w / _AELL_BLOCK) + 1)
 
 
 def _aell_w(ell: int, y: float) -> float:
@@ -725,14 +732,13 @@ def _a_ell_spectral(mellin: MellinTransform, ell: int, y: float, tol: float = 1e
         pi^{it} Psi(-1/2-it) / (Gamma(1/2+it) zeta(1+2it))
         * sum_{ab=|ell|} (a/b)^{it} * K_{it}(2 pi |ell| y) dt,
     summed over t-blocks of width 4 (`_aell_block`), one block at a time,
-    and truncated once two consecutive blocks from block 2 on add less than
-    tol/8 each to the value, that is once 2 sqrt(y/pi) times the block's
-    integral falls below tol/8 (the Mellin transform of the bump decays
-    like exp(-c sqrt|t|), which dictates the range).  The stop is right
-    only while w = 2 pi |ell| y is small: blocks 0-2, which every point
-    reads, span t in [0, 12], and past that the turning point t = w, where
-    the mass of the integral begins, may lie beyond the stop, so `a_ell_y`
-    sends it no w past _SPECTRAL_W_MAX.
+    and truncated once _AELL_QUIET consecutive blocks from
+    `_aell_first_quiet(w)` on, wholly past the turning point t = w = 2 pi
+    |ell| y, add less than tol/8 each to the value, that is 2 sqrt(y/pi)
+    times the block's integral (the Mellin transform of the bump decays
+    like exp(-c sqrt|t|), which dictates the range); earlier blocks, whose
+    Bessel factor is exponentially small, say nothing of the mass to come.
+    ToleranceError if no such run ends below _AELL_T_CAP.
     Everything but the Bessel values and the divisor sum is read from the
     process-wide cache `_aell_profile`, keyed on `mellin` and the block and
     emptied by `_aell_profile.cache_clear()`: a process builds each block's
@@ -749,6 +755,7 @@ def _a_ell_spectral(mellin: MellinTransform, ell: int, y: float, tol: float = 1e
     log_ratios = np.array([math.log(a / (aell // a)) for a in divisors(aell)])
     scale = 2.0 * math.sqrt(y / math.pi)
 
+    first = _aell_first_quiet(w)
     total = 0.0 + 0.0j
     quiet = 0
     for k in range(_AELL_BLOCKS):
@@ -756,9 +763,9 @@ def _a_ell_spectral(mellin: MellinTransform, ell: int, y: float, tol: float = 1e
         dsum = np.exp(1j * np.outer(ts, log_ratios)).sum(axis=1)
         contrib = complex(np.dot(wt, profile * dsum * bessel_k_scaled_grid(ts, w)))
         total += contrib
-        if scale * abs(contrib) < tol / 8.0:
+        if k >= first and scale * abs(contrib) < tol / 8.0:
             quiet += 1
-            if quiet >= 2 and k >= 2:
+            if quiet == _AELL_QUIET:
                 break
         else:
             quiet = 0
@@ -782,13 +789,6 @@ _UNFOLD_P_MIN = 24
 # A c-window that needs more panels than this may be skipped under its
 # bound; the smallest power of 4 at which tol = 1e-6 never ran out of nodes.
 _UNFOLD_SKIP_PANELS = 1024
-# The largest w = 2 pi |ell| y the spectral route serves: every point reads
-# blocks 0-2, t in [0, 12], before its stop rule may end the integral, so up
-# to w = 12 the turning point t = w, below which the integrand is
-# exponentially small, is always read.  Past it the rule may stop at block 2
-# before the mass: at w = 16 it missed tol 1e-5 by 2.4 tol, and at w = 24.5
-# tol 1e-7 by 2100 tol.
-_SPECTRAL_W_MAX = 12.0
 
 
 def _unfold_windows(ell: int, y: float, bump: BumpFunction):
@@ -819,17 +819,17 @@ def _unfold_windows(ell: int, y: float, bump: BumpFunction):
 
 def _aell_route(ell: int, y: float, w: float, bump: BumpFunction):
     """The c-windows of `_unfold_windows` where unfolding serves (ell, y),
-    None where the spectral route does (w <= _SPECTRAL_W_MAX), or
-    ValueError where neither does."""
+    None where the spectral route does, as its counted blocks fit below
+    _AELL_BLOCKS (w <= 688), or ValueError where neither does."""
     windows, nodes = _unfold_windows(ell, y, bump)
     if windows is not None:
         return windows
-    if w <= _SPECTRAL_W_MAX:
+    if _aell_first_quiet(w) + _AELL_QUIET <= _AELL_BLOCKS:
         return None
     raise ValueError(f"no route serves this point: unfolding takes {float(nodes):.3g} nodes, "
-                     f"past its budget of {_UNFOLD_NODE_BUDGET}, and w = 2 pi |ell| y = "
-                     f"{w:.3g} is past {_SPECTRAL_W_MAX:g}, the largest w the spectral "
-                     f"stop rule is right at")
+                     f"past its budget of {_UNFOLD_NODE_BUDGET}, and w = 2 pi |ell| y = {w:.3g} "
+                     f"is past {_AELL_BLOCK * (_AELL_BLOCKS - _AELL_QUIET - 1):g}, past which "
+                     f"the spectral integral ends before {_AELL_QUIET} blocks past t = w")
 
 
 def _window_sums(y: float, c, lo, hi, panels, integrand) -> np.ndarray:
@@ -857,15 +857,14 @@ def _window_sums(y: float, c, lo, hi, panels, integrand) -> np.ndarray:
 
 def _ramanujan_sums(ell: int, count: int) -> np.ndarray:
     """S(ell; c) = sum over d | (ell, c) of d mu(c/d) for c = 1..count, from
-    one Moebius table and the divisors of |ell|."""
+    one Moebius table and each d <= count dividing ell: ell is not factored."""
     # the table's walk divides by mu(p^e), so the 0 of e >= 2 is marked as 2
     marked = multiplicative_table(count, lambda p, e: 2 if e > 1 else (-1) ** e, np.int64)
     mobius = np.where(np.abs(marked) == 1, marked, 0)
     sums = np.zeros(count + 1)
-    for d in divisors(abs(ell)):
-        if d > count:
-            break
-        sums[d::d] += d * mobius[1 : count // d + 1]
+    for d in range(1, count + 1):
+        if ell % d == 0:
+            sums[d::d] += d * mobius[1 : count // d + 1]
     return sums[1:]
 
 
@@ -925,9 +924,9 @@ def a_ell_y(
         Bessel values and no stop rule.  For y lo >= 1 no c reaches the
         bump and the value is exactly 0.
       - the spectral integral (`_a_ell_spectral`), for the points past that
-        budget, which lie at y below about 5e-7, where w = 2 pi |ell| y is
-        at most _SPECTRAL_W_MAX and its stop rule is right.
-      - ValueError where neither serves: y that small with a larger w.
+        budget, which lie at y below about 5e-7, up to w = 2 pi |ell| y =
+        688, where three blocks past the turning point still fit.
+      - ValueError where neither serves: y that small with w past 688.
     A w outside [AELL_W_MIN, inf) is refused too (`check_aell_w`).
     """
     if not math.isfinite(y) or y <= 0:

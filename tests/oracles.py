@@ -220,11 +220,14 @@ def a_ell_y_per_call(mellin, ell: int, y: float, tol: float = 1e-7) -> complex:
     uncached `_aell_block` and `_eisenstein_kernel` per block, the loop the
     process-wide profile cache replaced, with the same stop rule and the
     same order of floating-point operations: a block is quiet when it adds
-    less than tol/8 to the value, 2 sqrt(y/pi) times the integral."""
+    less than tol/8 to the value, 2 sqrt(y/pi) times the integral, and lies
+    from block max(2, ceil(w/4) + 1) on, wholly past the turning point t =
+    w; three quiet blocks in a row end the integral."""
     aell = abs(ell)
     w = 2.0 * math.pi * aell * y
     scale = 2.0 * math.sqrt(y / math.pi)
     log_ratios = np.array([math.log(a / (aell // a)) for a in arith.divisors(aell)])
+    first = max(2, math.ceil(w / 4.0) + 1)
     total = 0.0 + 0.0j
     quiet = 0
     for k in range(_AELL_BLOCKS):
@@ -234,9 +237,9 @@ def a_ell_y_per_call(mellin, ell: int, y: float, tol: float = 1e-7) -> complex:
         dsum = np.exp(1j * np.outer(ts, log_ratios)).sum(axis=1)
         contrib = complex(np.dot(wt, psi * kernel * dsum * kvals))
         total += contrib
-        if scale * abs(contrib) < tol / 8.0:
+        if k >= first and scale * abs(contrib) < tol / 8.0:
             quiet += 1
-            if quiet >= 2 and k >= 2:
+            if quiet == 3:
                 break
         else:
             quiet = 0

@@ -5,6 +5,7 @@ and every function the benchmark's per-layer tracer wraps still exists."""
 import importlib
 import importlib.util
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -50,6 +51,26 @@ def test_benchmark_traced_names_resolve():
             owner = getattr(owner, attr, None)
         if not callable(owner):
             missing.append(f"{module_name}.{qualname}")
+    assert not missing, missing
+
+
+def test_readme_qualified_names_resolve():
+    """Every backticked `module.name` in README.md whose module is one of the
+    package's, such as `specfun._aell_route` or `cli.AELL_ELL_MAX`, names an
+    attribute that exists, so a deleted name cannot stay documented."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = "|".join(name.removeprefix("shiftsieve.") for name in MODULES)
+    names = re.findall(rf"`((?:{modules})(?:\.\w+)+)(?:\([^`]*\))?`", text)
+    assert len(names) >= 10, names
+    missing = []
+    for name in names:
+        module_name, *attrs = name.split(".")
+        owner = importlib.import_module(f"shiftsieve.{module_name}")
+        for attr in attrs:
+            if not hasattr(owner, attr):
+                missing.append(name)
+                break
+            owner = getattr(owner, attr)
     assert not missing, missing
 
 

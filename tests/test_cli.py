@@ -484,7 +484,7 @@ class TestBoundary:
         (["aell", "--ell", "1", "--y", "1e-307"], "--y"),
         (["aell", "--ell", "1,2", "--y", "0.3,1e-306", "--A", "0", "--eps", "0"], "--y"),
         (["aell", "--ell", "40000000000000000", "--y", "1e300"], "--y"),
-        (["aell", "--ell", "100000000", "--y", "1e-7"], "--y"),
+        (["aell", "--ell", "2000000000", "--y", "1e-7"], "--y"),
         (["theta", "--re", "0.5", "--im", "1e300"], "--im"),
         (["theta", "--re", "0.5", "--im", "2,-1e18"], "--im"),
         (["theta", "--re", "1e300", "--im", "1"], "--re"),

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from shiftsieve import arith
 from shiftsieve import specfun as sf
 
 from .oracles import (
@@ -581,9 +582,19 @@ class TestAellUnfolding:
         assert bump.derivatives(np.array([0.5, 1.0, 3.0]))[1].tolist() == [0.0, 0.0, 0.0]
 
     def test_ramanujan_sums_against_the_gcd_scan(self):
-        for ell in (1, 12, 720720, -30):
+        for ell in (1, 12, 720720, -30, 10**16, 39999999999999937):
             assert sf._ramanujan_sums(ell, 60).tolist() == [
                 ramanujan_sum(ell, c) for c in range(1, 61)]
+
+    def test_large_ell_never_factored(self, mellin, monkeypatch):
+        # the sums test each d up to the c count (1336 here) instead of
+        # factoring ell, which grew the prime table to sqrt(ell) = 10^8
+        monkeypatch.setattr(arith, "_primes", np.array([], dtype=np.int64))
+        monkeypatch.setattr(arith, "_primes_limit", 0)
+        ell, y = 10**16, 5.6e-7
+        assert sf._aell_route(ell, y, 2.0 * math.pi * ell * y, mellin.bump) is not None
+        sf.a_ell_y(mellin, ell, y, 1e-6)
+        assert arith._primes_limit <= 1336
 
     def test_tiny_y_takes_the_spectral_route(self, mellin, monkeypatch):
         # 2^19 nodes hold about 1365 windows of 24 panels: y below about 5.4e-7
@@ -592,21 +603,31 @@ class TestAellUnfolding:
         assert sf.a_ell_y(mellin, 3, y, 1e-6) == a_ell_y_per_call(mellin, 3, y, 1e-6)
 
     def test_point_no_route_serves_refused_before_any_work(self, mellin, monkeypatch):
-        # y = 1e-7 needs 3162 windows, and w = 2 pi 1e8 1e-7 = 62.8 > 12
+        # y = 1e-7 needs 3162 windows, and w = 2 pi 2e9 1e-7 = 1257 > 688
         self.fail_on(monkeypatch, "_ramanujan_sums", "_window_sums", "_a_ell_spectral",
                      "_aell_profile")
-        for call in (lambda: sf.a_ell_y(mellin, 10**8, 1e-7), lambda: sf.check_aell_w(10**8, 1e-7)):
+        ell = 2 * 10**9
+        for call in (lambda: sf.a_ell_y(mellin, ell, 1e-7), lambda: sf.check_aell_w(ell, 1e-7)):
             with pytest.raises(ValueError, match="no route serves"):
                 call()
         assert sf.check_aell_w(10**6, 1e-7) == pytest.approx(2 * math.pi * 0.1)
+        assert sf.check_aell_w(10**8, 1e-7) == pytest.approx(2 * math.pi * 10)
+
+    def test_spectral_route_ends_where_three_blocks_past_the_turning_point_end(self, mellin):
+        # w = 688 counts blocks 173-175 from t = 692, the last block of the
+        # integral; past it the third would start at t = 704
+        assert sf._aell_first_quiet(688.0) + sf._AELL_QUIET == sf._AELL_BLOCKS
+        assert sf._aell_route(10**9, 1e-7, 688.0, mellin.bump) is None
+        with pytest.raises(ValueError, match="past 688"):
+            sf._aell_route(10**9, 1e-7, np.nextafter(688.0, 689.0), mellin.bump)
 
 
 class TestAellProfile:
     """The process-wide t-profile cache that the spectral route of `a_ell_y`
     reads its ell- and y-independent factors from, against the per-call
-    loop it replaced, at points that route serves (y < 5.4e-7, w <= 12)."""
+    loop it replaced, at points that route serves (y < 5.4e-7)."""
 
-    # w = 0.001: stops at block 12 at tol 1e-6
+    # w = 0.001: stops at block 13 at tol 1e-6
     POINT = (1592, 1e-7)
 
     @pytest.fixture(autouse=True)
@@ -673,9 +694,9 @@ class TestAellProfile:
 
     def test_later_point_reuses_earlier_blocks(self, mellin, monkeypatch):
         builds = self.count_block_builds(monkeypatch)
-        sf._a_ell_spectral(mellin, 3000000, 5e-7, tol=1e-4)  # w = 9.4: stops at block 2
+        sf._a_ell_spectral(mellin, 3000000, 5e-7, tol=1e-4)  # w = 9.4: stops at block 6
         early = [sf._aell_profile(mellin, k) for k in builds]
-        sf._a_ell_spectral(mellin, 1, 1e-7, tol=1e-9)  # w = 6.3e-7: reads to block 33
+        sf._a_ell_spectral(mellin, 1, 1e-7, tol=1e-9)  # w = 6.3e-7: reads to block 42
         assert builds == list(range(len(builds)))  # no block built twice
         assert len(builds) > len(early) + 10
         assert all(sf._aell_profile(mellin, k) is block for k, block in enumerate(early))
@@ -702,17 +723,18 @@ class TestAellChunks:
     """The spectral route of `a_ell_y`, which reads one block at a time where
     it once took its Bessel values and divisor sums per chunk of blocks: its
     stop rule against the unfolding sum, and its loop against the per-block
-    loop of `a_ell_y_per_call`, at points it serves (y < 5.4e-7, w <= 12)."""
+    loop of `a_ell_y_per_call`, at points it serves (y < 5.4e-7)."""
 
-    # (ell, y, tol, last block read): w = 9.4, whose blocks 0-2 hold no Debye
-    # order and which stops at block 2, the earliest stop; two at w = 1.9e-5
-    # and 1.9e-4, whose block 2 holds orders of both Bessel routes; and
-    # tol 1e-9 at w = 9.4, which reads past the Debye switch to block 93
+    # (ell, y, tol, last block read): w = 9.4, whose blocks 0-6 hold no Debye
+    # order and which stops at block 6, the earliest stop there, as blocks
+    # count as quiet from block 4, wholly past t = w; two at w = 1.9e-5 and
+    # 1.9e-4, whose block 2 holds orders of both Bessel routes; and tol 1e-9
+    # at w = 9.4, which reads past the Debye switch to block 94
     POINTS = (
-        (3000000, 5e-7, 1e-4, 2),
-        (30, 1e-7, 1e-6, 9),
-        (100, 3e-7, 1e-6, 13),
-        (3000000, 5e-7, 1e-9, 93),
+        (3000000, 5e-7, 1e-4, 6),
+        (30, 1e-7, 1e-6, 10),
+        (100, 3e-7, 1e-6, 14),
+        (3000000, 5e-7, 1e-9, 94),
     )
     # 2^4 3^2 5 7 11 13 17 19, with 960 divisors
     HIGHLY_DIVISIBLE = 232792560
@@ -730,9 +752,6 @@ class TestAellChunks:
         monkeypatch.setattr(sf, name, recorded)
         return calls
 
-    def test_spectral_w_max_within_the_blocks_every_point_reads(self):
-        assert sf._SPECTRAL_W_MAX <= 3 * sf._AELL_BLOCK
-
     @pytest.mark.parametrize("y", [1e-7, 3e-7, 5e-7])
     def test_tol_1e9_reachable_on_the_spectral_route(self, mellin, y):
         # the stop rule on the integral, before it was scaled to the value,
@@ -744,6 +763,21 @@ class TestAellChunks:
             want = aell_unfold_doubled(ell, y, mellin.bump)
             for tol in (1e-8, 1e-9):
                 assert abs(sf.a_ell_y(mellin, ell, y, tol).real - want) <= tol, (ell, y, tol)
+
+    @pytest.mark.parametrize("ell, y, tol", [
+        (7957747, 1e-7, 1e-9),
+        (53051648, 3e-7, 1e-8),
+        (25464791, 1e-7, 1e-8),
+        (79577472, 1e-7, 1e-8),
+        (318309886, 1e-7, 1e-8),
+    ], ids=["w-5", "w-100", "w-16", "w-50", "w-200"])
+    def test_within_tol_of_unfolding_from_the_turning_point(self, mellin, ell, y, tol):
+        # w = 5: two quiet blocks from block 0 on stopped at block 68, 1.11
+        # tol off; w = 100: two quiet blocks past the turning point missed
+        # by 1.18 tol; w = 16, 50 and 200 were refused while no block past
+        # t = 12 was sure to be read
+        value = sf.a_ell_y(mellin, ell, y, tol).real
+        assert abs(value - aell_unfold_doubled(ell, y, mellin.bump)) <= tol
 
     @pytest.mark.parametrize("ell, y, tol, last", POINTS,
                              ids=["no-debye", "mixed-30", "mixed-100", "tol-1e-9"])
