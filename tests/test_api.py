@@ -1,6 +1,7 @@
 """Public surface: the package imports, every module's `__all__` names
 only what the module defines, so a deleted function cannot stay exported,
-and every function the benchmark's per-layer tracer wraps still exists."""
+and every function the benchmark's per-layer tracer wraps and every
+qualified name the README gives still exists."""
 
 import importlib
 import importlib.util
