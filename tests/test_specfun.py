@@ -752,6 +752,20 @@ class TestAellChunks:
         monkeypatch.setattr(sf, name, recorded)
         return calls
 
+    def test_spectral_w_max_within_the_blocks_every_point_reads(self, mellin):
+        # the largest w the spectral route takes, 688, once a fixed 12; every
+        # w up to it reads its three quiet blocks, all wholly past t = w,
+        # before the last block, the one from the cap t = 700
+        w_max = sf._AELL_BLOCK * (sf._AELL_BLOCKS - sf._AELL_QUIET - 1)
+        assert w_max == 688.0
+        for w in np.linspace(0.0, w_max, 4 * 172 + 1):
+            first = sf._aell_first_quiet(w)
+            assert sf._AELL_BLOCK * first >= w
+            assert first + sf._AELL_QUIET <= sf._AELL_BLOCKS
+        assert sf._AELL_BLOCK * (sf._AELL_BLOCKS - 1) == sf._AELL_T_CAP
+        for w in (12.0, 100.0, w_max):
+            assert sf._aell_route(10**9, 1e-7, w, mellin.bump) is None
+
     @pytest.mark.parametrize("y", [1e-7, 3e-7, 5e-7])
     def test_tol_1e9_reachable_on_the_spectral_route(self, mellin, y):
         # the stop rule on the integral, before it was scaled to the value,
