@@ -100,37 +100,59 @@ def divisors(n: int) -> list[int]:
 
 def multiplicative_table(limit: int, value: Callable, dtype) -> np.ndarray:
     """f(0..limit) (entry 0 set to 1) for the multiplicative f with
-    f(p^e) = value(p, e), as a numpy array of the given dtype.  value must
-    give 1 at e = 0 and never 0, since the walk divides by it.
+    f(p^e) = value(p, e), as a numpy array of the given dtype.  value is
+    called at e >= 1 only.
 
-    Every prime p <= sqrt(limit) is walked over its powers: the multiples of
-    p^e trade the factor value(p, e - 1) for value(p, e), which is exact in
-    int64 and object dtype.  What is left of n after those primes is 1 or a
-    single prime q > sqrt(limit); value(q, 1) is applied to all of them in
-    one call with an array of q of the table's dtype.
+    For every prime p <= sqrt(limit), value(p, v_p(n)) is laid out over the
+    multiples n of p (value(p, 1) everywhere, then value(p, e) assigned over
+    the multiples of p^e for e = 2, 3, ...) and multiplied in once, so the
+    walk never divides.  The product of those primes' powers in n is built
+    alongside; what is left of n, one floor division at the end, is 1 or a
+    single prime q > sqrt(limit), and value(q, 1) is applied to all of them
+    in one call with an array of q of the table's dtype.
     """
     out = np.ones(limit + 1, dtype=dtype)
-    rest = np.arange(limit + 1, dtype=np.int64)
+    part = np.ones(limit + 1, dtype=np.int64)
     for p in prime_table(isqrt(limit)).tolist():
-        power, e = p, 1
+        local = np.full(limit // p, value(p, 1), dtype=dtype)
+        part[p::p] *= p
+        power, e = p * p, 2
         while power <= limit:
-            out[power::power] //= value(p, e - 1)
-            out[power::power] *= value(p, e)
-            rest[power::power] //= p
+            local[power // p - 1 :: power // p] = value(p, e)
+            part[power::power] *= p
             power, e = power * p, e + 1
-    big = rest > 1
-    out[big] *= value(rest[big].astype(dtype), 1)
+        out[p::p] *= local
+    n = np.arange(limit + 1, dtype=np.int64)
+    big = n > part
+    out[big] *= value((n[big] // part[big]).astype(dtype), 1)
     return out
 
 
 def smooth_part_table(limit: int, z: float) -> np.ndarray:
     """Vector of z-smooth parts for 0..limit (entry 0 unused, set to 1).
 
-    The smooth parts never exceed limit, so int64 is exact.
+    p is multiplied into the multiples of each p^e <= limit for the primes
+    p <= min(z, sqrt(limit)).  When z > sqrt(limit), what is left of n after
+    those primes is 1 or one prime q > sqrt(limit), and n is its own smooth
+    part when q = n / s <= z: the cofactor is compared with z, never n
+    with z * s, so no rounding moves a z just above a prime.  The smooth
+    parts never exceed limit, so int64 is exact, and so is q as a float.
     """
     if z >= limit:
         return np.maximum(np.arange(limit + 1, dtype=np.int64), 1)
-    return multiplicative_table(limit, lambda p, e: np.where(p <= z, p**e, 1), np.int64)
+    root = isqrt(limit)
+    out = np.ones(limit + 1, dtype=np.int64)
+    for p in prime_table(min(z, root)).tolist():
+        power = p
+        while power <= limit:
+            out[power::power] *= p
+            power *= p
+    if z > root:
+        n = np.arange(limit + 1, dtype=np.int64)
+        # s divides n, so the float quotient is the exact cofactor
+        out = np.where(n / out <= z, n, out)
+        out[0] = 1
+    return out
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,11 @@ SIEVECHECK_COUNT_MAX = 50_000
 
 # Largest table `shifted` builds, x + |ell|, per coefficient source: a
 # budget of 1 GiB over the peak bytes per table entry.  --function holds
-# about 50 (the float handle, its int64 build, the smooth-part table;
-# 228 MB at x = 4e6) and --weight up to about 1000 (the exact q-expansion
-# and its products; 112 MB at x = 1e5 for weight 26), measured on a 2-core
-# x86 machine with CPython integers.
+# about 34 (the float handle beside the smooth-part table and its
+# temporaries; 159 MB at x = 4e6 and epsilon = 0.5), within the 50 its cap
+# is set by, and --weight up to about 1000 (the exact q-expansion and its
+# products; 112 MB at x = 1e5 for weight 26), measured on a 2-core x86
+# machine with CPython integers.
 SHIFTED_LIMIT_MAX = {"function": (1 << 30) // 50, "weight": (1 << 30) // 1000}
 
 # Largest `eigenform` and `mk` --cutoff: the q-expansion budget of `shifted
@@ -101,11 +102,16 @@ def _int_text(n: int) -> str:
     return str(n) if abs(n) < 10**18 else f"{decimal.Decimal(n):.3e}"
 
 
+# Floats are written to .15g digits, ints and strings by str, and bools as
+# true/false: cell by cell by _fmt, or row by row by a str.format template.
+_FLOAT_SPEC = ".15g"
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.15g}"
+        return format(value, _FLOAT_SPEC)
     return str(value)
 
 
@@ -153,10 +159,17 @@ def atomic_open(path: str) -> Iterator[IO[bytes]]:
         raise
 
 
-def _write_rows(args: argparse.Namespace, header: list[str], rows: list[list]) -> None:
+def _write_rows(
+    args: argparse.Namespace, header: list[str], rows: list[list], template: str | None = None
+) -> None:
+    """Write rows as CSV or JSON; a CSV template, when given, formats each
+    row in one call and must write it as _fmt would cell by cell."""
     if args.format == "csv":
         lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        if template is None:
+            lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        else:
+            lines.extend(template.format(*row) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
         payload = {
@@ -223,7 +236,7 @@ def _run_eigenform(args: argparse.Namespace) -> int:
     coeffs = form.qexp.coeffs
     lam = form.eigenvalue_array(args.cutoff).tolist()
     rows = [[n, str(coeffs[n]), lam[n]] for n in range(1, args.cutoff + 1)]
-    _write_rows(args, ["n", "a_f", "lambda"], rows)
+    _write_rows(args, ["n", "a_f", "lambda"], rows, "{},{},{:%s}" % _FLOAT_SPEC)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb, fsum, gcd
+from math import comb, fsum, isqrt
 from typing import Iterable
 
 import numpy as np
@@ -67,12 +67,36 @@ def eigenform_handle(form: EigenForm, limit: int | None = None) -> CoefficientHa
 
 
 def tau_handle(m: int, limit: int) -> CoefficientHandle:
-    """tau_m table from tau_m(p^e) = C(e+m-1, m-1), built in int64; the cast
-    to float is exact below 2^53."""
+    """tau_m table from tau_m(p^e) = C(e+m-1, m-1), built in float64: every
+    value is an integer below 2^53, so each step is exact.
+
+    For each prime p <= sqrt(limit) the multiples of p take the factor m,
+    and at each e >= 2 the multiples of p^e trade C(e+m-2, m-1) for
+    C(e+m-1, m-1) by a true division, exact on an exact multiple, and a
+    multiplication.  part, the product of those primes' powers in n, is
+    built alongside by multiplication; n > part marks the n with one prime
+    factor above sqrt(limit), which take one more factor m.  No step divides
+    integers or calls back per prime power.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    t = arith.multiplicative_table(limit, lambda p, e: comb(e + m - 1, m - 1), np.int64)
-    t = t.astype(float)
+    t = np.ones(limit + 1)
+    part = np.ones(limit + 1, dtype=np.int64)
+    for p in prime_table(isqrt(limit)).tolist():
+        t[p::p] *= m
+        part[p::p] *= p
+        power, e = p * p, 2
+        while power <= limit:
+            t[power::power] /= comb(e + m - 2, m - 1)
+            t[power::power] *= comb(e + m - 1, m - 1)
+            part[power::power] *= p
+            power, e = power * p, e + 1
+    # the factor 1 + (m - 1) [n > part], in part's place: a masked multiply
+    # costs more than these three whole-array passes
+    big = np.greater(np.arange(limit + 1), part, out=part)
+    big *= m - 1
+    big += 1
+    t *= big
     t[0] = 0.0
     t.setflags(write=False)
     return CoefficientHandle(f"tau{m}", t)
@@ -120,6 +144,10 @@ _CHUNK = 1 << 14
 # -1073 <= e <= 1024; m * 2^53 is an integer, split at bit 26 into halves.
 _FREXP_MIN, _FREXP_MAX = -1073, 1024
 _EXP_BINS = _FREXP_MAX - _FREXP_MIN + 1
+# Entries per block of sieve_side_bound's cell count: about 70 rows of a at
+# the y near 220 of x = 5e4, epsilon = 1/2; a row wider than this is a block
+# of its own, so the count never holds more than one row's worth beyond it.
+_CELL_BLOCK = 1 << 14
 
 
 def _class_sums(
@@ -212,15 +240,17 @@ def m_of_x(h1: CoefficientHandle, h2: CoefficientHandle, params: SievingParamete
     makes z = x^(1/s) exceed x, even astronomically); the product is then
     evaluated over p <= x, the largest range the tables can inform, and the
     params flag discloses the regime.  Raises if even the capped range
-    exceeds the prime-table capacity.
+    exceeds the prime-table capacity.  Each log-sum is the fsum of a list of
+    the log1p values: the same correctly rounded sum as over the array,
+    which fsum would read one numpy scalar at a time.
     """
     z_eff = min(params.z, params.x)
     primes = prime_table(int(z_eff))
     h1.require(int(z_eff))
     h2.require(int(z_eff))
     inv_p = 1.0 / primes
-    log_prod = fsum(np.log1p(h1.values[primes] * inv_p)) + fsum(
-        np.log1p(h2.values[primes] * inv_p)
+    log_prod = fsum(np.log1p(h1.values[primes] * inv_p).tolist()) + fsum(
+        np.log1p(h2.values[primes] * inv_p).tolist()
     )
     return math.exp(log_prod) / math.log(params.x) ** 2
 
@@ -311,6 +341,10 @@ def sieve_side_bound(
     2 otherwise.  H is memoised on that prime set within the call, each one
     the exact rational of `big_h` (integers over one common denominator)
     rounded once to a float.
+
+    cells is counted apart from that pass, over the rows a with l1(v a) != 0
+    in blocks of about _CELL_BLOCK entries: one np.gcd outer product of a
+    block against the a_ell coprime to w, masked by a a_ell <= x/v.
     """
     x, z, y, q_par = params.x, params.z, params.y, params.Q
     if ell == 0 or abs(ell) > x:
@@ -335,12 +369,20 @@ def sieve_side_bound(
             continue
         hi = math.floor(x / v)
         smooth_as = np.fromiter(arith.smooth_numbers_upto(min(y_v, hi), z), dtype=np.int64)
-        for a in smooth_as.tolist():
-            if h1.values[v * a] == 0.0 or gcd(a, abs(w)) != 1:
-                continue
-            # count over the prefix a_ell <= x/(v a), never a full grid
-            prefix = smooth_as[: np.searchsorted(smooth_as, int(x) // (v * a), side="right")]
-            cells += int(np.count_nonzero(np.gcd(prefix, a * abs(w)) == 1))
+        # a cell pairs a with h1(v a) != 0 and a_ell <= x/(v a), both coprime
+        # to w and to each other; rows of a are counted in blocks, each over
+        # the a_ell its first (smallest) a admits, at least a_ell = 1
+        ells = smooth_as[np.gcd(smooth_as, abs(w)) == 1]
+        rows = ells[h1.values[v * ells] != 0.0]
+        start = 0
+        while start < rows.size:
+            width = int(np.searchsorted(ells, int(x) // (v * int(rows[start])), side="right"))
+            block = rows[start : start + max(1, _CELL_BLOCK // width), None]
+            start += block.shape[0]
+            prefix = ells[:width]
+            cells += int(np.count_nonzero(
+                (np.gcd(block, prefix) == 1) & (block * prefix <= int(x) // v)
+            ))
 
         lo = max(1, 1 - w)
         n = np.arange(lo, hi + 1)

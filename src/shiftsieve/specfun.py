@@ -858,9 +858,7 @@ def _window_sums(y: float, c, lo, hi, panels, integrand) -> np.ndarray:
 def _ramanujan_sums(ell: int, count: int) -> np.ndarray:
     """S(ell; c) = sum over d | (ell, c) of d mu(c/d) for c = 1..count, from
     one Moebius table and each d <= count dividing ell: ell is not factored."""
-    # the table's walk divides by mu(p^e), so the 0 of e >= 2 is marked as 2
-    marked = multiplicative_table(count, lambda p, e: 2 if e > 1 else (-1) ** e, np.int64)
-    mobius = np.where(np.abs(marked) == 1, marked, 0)
+    mobius = multiplicative_table(count, lambda p, e: -1 if e == 1 else 0, np.int64)
     sums = np.zeros(count + 1)
     for d in range(1, count + 1):
         if ell % d == 0:

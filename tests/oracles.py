@@ -665,3 +665,26 @@ def sieve_side_bound_cells(h1, h2, params, ell: int) -> tuple[float, int, int, i
                 terms.append(outer * maxfactor * bound)
                 contributing += 1
     return math.fsum(terms), vw_pairs, cells, contributing
+
+
+def sieve_cells_per_a(h1, params, ell: int) -> int:
+    """`SieveSideBound.cells` by one numpy pass per a: for each z-smooth
+    a <= y/v with l1(v a) != 0 and gcd(a, w) = 1, the a_ell of the sorted
+    smooth list up to x/(v a) coprime to a |w|.  The reference for the
+    blocked count of `shifted.sieve_side_bound`."""
+    x, z, y = params.x, params.z, params.y
+    cells = 0
+    for v in arith.divisors(abs(ell)):
+        w = ell // v
+        y_v = y / v
+        if y_v < 1 or v > x:
+            continue
+        smooth_as = np.array(
+            list(arith.smooth_numbers_upto(min(y_v, math.floor(x / v)), z)), dtype=np.int64
+        )
+        for a in smooth_as.tolist():
+            if h1.values[v * a] == 0.0 or gcd(a, abs(w)) != 1:
+                continue
+            prefix = smooth_as[: np.searchsorted(smooth_as, int(x) // (v * a), side="right")]
+            cells += int(np.count_nonzero(np.gcd(prefix, a * abs(w)) == 1))
+    return cells

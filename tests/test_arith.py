@@ -9,6 +9,7 @@ from shiftsieve import arith, qexpansion, shifted
 from .oracles import (
     divisor_power_sums,
     fz_split,
+    mobius,
     primes_upto,
     smooth_numbers_dfs,
     smooth_part_walk,
@@ -139,7 +140,8 @@ class TestMultiplicativeTable:
 
     @pytest.mark.parametrize(
         "m, limit",
-        [(m, limit) for m in (1, 2, 3, 4) for limit in TABLE_LIMITS] + [(2, 10**6), (3, 10**6)],
+        [(m, limit) for m in (1, 2, 3, 4, 5, 6) for limit in TABLE_LIMITS]
+        + [(2, 10**6), (3, 10**6)],
     )
     def test_tau_handle(self, m, limit):
         values = shifted.tau_handle(m, limit).values
@@ -157,11 +159,25 @@ class TestMultiplicativeTable:
 
     @pytest.mark.parametrize("limit", TABLE_LIMITS)
     def test_smooth_tables(self, limit):
-        for z in (0, 1.5, 2, 3.7, 7, math.sqrt(limit), limit - 1, limit, math.inf):
+        root = math.isqrt(limit)
+        # the walk stops at sqrt(limit) and a z above it keeps the n whose
+        # cofactor is a prime <= z: z on each side of that split, and just
+        # above and below a prime that is such a cofactor
+        primes = primes_upto(limit // 2)
+        near = [p + 1e-9 for p in primes[-1:]]
+        near += [np.nextafter(p, 0) for p in primes if p > root][:1]
+        for z in (0, 1.5, 2, 3.7, 7, math.sqrt(limit), root - 1, root, root + 1, limit // 2,
+                  *near, limit - 1, limit, math.inf):
             table = arith.smooth_part_table(limit, z)
             expected = smooth_part_walk(limit, z)
             assert table.dtype == expected.dtype and np.array_equal(table, expected), z
             assert list(arith.smooth_numbers_upto(limit + 0.5, z)) == smooth_numbers_dfs(limit, z)
+
+    @pytest.mark.parametrize("limit", TABLE_LIMITS)
+    def test_mobius_with_its_zeros(self, limit):
+        table = arith.multiplicative_table(limit, lambda p, e: -1 if e == 1 else 0, np.int64)
+        assert table.dtype == np.int64
+        assert table.tolist() == [1] + [mobius(n) for n in range(1, limit + 1)]
 
     def test_value_sees_every_prime_power(self):
         limit = 1000

@@ -441,7 +441,8 @@ class TestBoundary:
             raise AssertionError("table built")
 
         for module, name in ((arith, "multiplicative_table"), (qexpansion, "delta_qexp"),
-                             (shifted, "unit_handle"), (largesieve, "random_admissible_system")):
+                             (shifted, "tau_handle"), (shifted, "unit_handle"),
+                             (largesieve, "random_admissible_system")):
             monkeypatch.setattr(module, name, fail)
 
     @pytest.mark.parametrize("source, x", [

@@ -13,6 +13,7 @@ from .oracles import (
     fz_split,
     partition_sums_fsum,
     s_ell_brute,
+    sieve_cells_per_a,
     sieve_side_bound_cells,
     squarefree_h_sum_fractions,
 )
@@ -339,6 +340,36 @@ class TestSieveSideBoundIntegerH:
         want = sh.sieve_side_bound(h, h, params, ell)
         assert dataclasses.astuple(got) == dataclasses.astuple(want)
         assert got.contributing_cells > 0
+
+
+class TestSieveCellBlocks:
+    """The blocked cell count equals the per-a loop it replaced, on the
+    benchmark's sieve-shifts shapes, two composite shifts, and two epsilons
+    above 1/2, where a a_ell <= x/v cuts rows short of y/v, with blocks of
+    one row, a few rows and the default size."""
+
+    @pytest.mark.parametrize("fn, ell, eps, x", [
+        ("tau2", 1, 0.5, 50_000), ("tau3", -2, 0.5, 48_600), ("one", 3, 0.5, 51_400),
+        ("tau2", -4, 0.31, 49_300), ("tau3", 5, 0.33, 50_700), ("one", -6, 0.349, 51_000),
+        ("tau2", 12, 0.5, 50_000), ("tau3", -30, 0.5, 50_000),
+        ("one", 12, 0.7, 20_000), ("tau2", -30, 0.8, 20_000),
+    ])
+    @pytest.mark.parametrize("block", [1, 1000, sh._CELL_BLOCK])
+    def test_matches_per_a_loop(self, partition_handles, monkeypatch, fn, ell, eps, x, block):
+        monkeypatch.setattr(sh, "_CELL_BLOCK", block)
+        h = partition_handles[fn]
+        params = arith.make_params(x, eps)
+        cells = sh.sieve_side_bound(h, h, params, ell).cells
+        assert cells == sieve_cells_per_a(h, params, ell) > 0
+
+    def test_zero_rows_skipped(self, partition_handles):
+        # l1(v a) = 0 drops row a from the count, whichever block holds it
+        values = partition_handles["tau2"].values.copy()
+        values[[1, 2, 97, 150]] = 0.0
+        h = sh.CoefficientHandle("zeros", values)
+        params = arith.make_params(50_000, 0.5)
+        for ell in (1, 12):
+            assert sh.sieve_side_bound(h, h, params, ell).cells == sieve_cells_per_a(h, params, ell)
 
 
 class TestSieveSideBoundOnePass:
